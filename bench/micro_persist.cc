@@ -9,9 +9,14 @@
  *    free and O(1) on the device hot path), and
  *  - fences_per_op on the PmHeap benchmarks: 1.0 under per-op fencing,
  *    1/epoch under group commit — the quantity the device amortizes.
+ *
+ * BM_HeapConstruct and BM_HeapCrash time pool set-up and power
+ * failure on a default-sized pool (DESIGN.md section 10).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "pm/commit_epoch.h"
 #include "pm/pm_heap.h"
@@ -104,6 +109,37 @@ BM_HeapGroupCommit(benchmark::State &state)
         static_cast<double>(fences) / static_cast<double>(ops ? ops : 1);
 }
 BENCHMARK(BM_HeapGroupCommit)->Arg(4)->Arg(8)->Arg(32);
+
+constexpr std::uint64_t kPoolBytes = 256ull << 20;
+
+/** Construct and destroy a default-sized (256 MiB) pool. Its cost
+ *  follows the bytes the pool touches, not its capacity. */
+void
+BM_HeapConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        pm::PmHeap heap(kPoolBytes);
+        benchmark::DoNotOptimize(heap.root());
+    }
+}
+BENCHMARK(BM_HeapConstruct)->Unit(benchmark::kMicrosecond);
+
+/** crash() on a 256 MiB pool whose touched extent is 64 KiB: the copy
+ *  covers the touched extent only. */
+void
+BM_HeapCrash(benchmark::State &state)
+{
+    pm::PmHeap heap(kPoolBytes);
+    constexpr std::size_t kTouched = 64 << 10;
+    pm::PmOffset off = heap.alloc(kTouched);
+    std::vector<char> block(kTouched, 1);
+    heap.write(off, block.data(), block.size());
+    heap.flush(off, block.size());
+    heap.fence();
+    for (auto _ : state)
+        heap.crash();
+}
+BENCHMARK(BM_HeapCrash)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

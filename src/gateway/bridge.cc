@@ -79,6 +79,10 @@ GatewayBridge::onDatagram(const Endpoint &from, const std::uint8_t *data,
     pkt->dstPort = net::kPmnetPortLow;
 
     if (role_ == Role::Daemon) {
+        if (header.sessionId >= sessionLimit_) {
+            rejectSessionRange++;
+            return;
+        }
         // Requests travel client -> server; everything else a client
         // could send is also addressed to the server (the device taps
         // the path in between, exactly as in the sim topology).

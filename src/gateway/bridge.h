@@ -21,6 +21,7 @@
 #ifndef PMNET_GATEWAY_BRIDGE_H
 #define PMNET_GATEWAY_BRIDGE_H
 
+#include <cstdint>
 #include <vector>
 
 #include "gateway/transport.h"
@@ -49,6 +50,13 @@ class GatewayBridge : public net::Node
 
     /** Fixed peer endpoint (Client role). */
     void setPeer(const Endpoint &endpoint) { peer_ = endpoint; }
+
+    /**
+     * Sessions the daemon serves are [0, @p limit) (Daemon role).
+     * An ingress datagram naming a session past it is dropped and
+     * counted in rejectSessionRange before the device can log it.
+     */
+    void setSessionLimit(std::uint32_t limit) { sessionLimit_ = limit; }
 
     /** Wall-clock recorder backend (Daemon role; nullptr detaches). */
     void setRecorder(obs::FlightRecorder *recorder)
@@ -87,6 +95,7 @@ class GatewayBridge : public net::Node
     obs::Counter parseErrors;     ///< undecodable ingress datagrams
     obs::Counter unknownSession;  ///< egress with no learned endpoint
     obs::Counter nonPmnetDropped; ///< egress without a PMNet header
+    obs::Counter rejectSessionRange; ///< ingress session past the limit
     /** @} */
 
   private:
@@ -94,6 +103,7 @@ class GatewayBridge : public net::Node
     Transport &transport_;
     obs::FlightRecorder *recorder_ = nullptr;
     Endpoint peer_{};
+    std::uint32_t sessionLimit_ = UINT32_MAX;
     /** sessionId -> last ingress endpoint (Daemon role). */
     std::vector<Endpoint> sessionEndpoints_;
     Bytes txBuf_;

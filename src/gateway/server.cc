@@ -1,5 +1,6 @@
 #include "gateway/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -80,6 +81,9 @@ GatewayServer::GatewayServer(Config config)
                std::size_t len) { bridge_.onDatagram(from, data, len); });
     runtime_.addTransport(transport_);
 
+    // A reopened pool keeps the session table size it was made with.
+    bridge_.setSessionLimit(std::min(config_.server.maxSessions,
+                                     serverLib_->config().maxSessions));
     bridge_.setRecorder(&recorder_);
     serverHost_.setRecorder(&recorder_);
     device_.setRecorder(&recorder_);
@@ -88,6 +92,8 @@ GatewayServer::GatewayServer(Config config)
     serverLib_->registerMetrics(registry_, "server");
     bridge_.registerMetrics(registry_, "gateway.bridge");
     runtime_.registerMetrics(registry_, "gateway.loop");
+    registry_.attach("gateway.reject.session_range",
+                     bridge_.rejectSessionRange);
     registry_.probe("gateway.transport.datagramsSent",
                     [this] { return transport_.datagramsSent; });
     registry_.probe("gateway.transport.datagramsReceived",

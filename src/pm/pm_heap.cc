@@ -1,8 +1,11 @@
 #include "pm/pm_heap.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -21,14 +24,31 @@ persistBoundaryName(PersistBoundary boundary)
     return "unknown";
 }
 
+namespace {
+
+/** A zero-filled image whose pages are only backed once touched. */
+std::uint8_t *
+mapImage(std::uint64_t bytes)
+{
+    void *image = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1,
+                         0);
+    if (image == MAP_FAILED)
+        fatal("PmHeap: cannot map a %llu-byte image: %s",
+              static_cast<unsigned long long>(bytes), std::strerror(errno));
+    return static_cast<std::uint8_t *>(image);
+}
+
+} // namespace
+
 PmHeap::PmHeap(std::uint64_t capacity_bytes, CostModel model)
     : capacity_(capacity_bytes), model_(model)
 {
     if (capacity_bytes < kHeaderSize + 1024)
         fatal("PmHeap: capacity %llu too small",
               static_cast<unsigned long long>(capacity_bytes));
-    volatileImage_.assign(capacity_, 0);
-    durableImage_.assign(capacity_, 0);
+    volatileImage_ = mapImage(capacity_);
+    durableImage_ = mapImage(capacity_);
     Header header{kMagic, kHeaderSize, kNullOffset};
     storeHeader(header);
     fence();
@@ -41,6 +61,8 @@ PmHeap::~PmHeap()
 {
     if (backingFd_ >= 0)
         ::close(backingFd_);
+    ::munmap(volatileImage_, capacity_);
+    ::munmap(durableImage_, capacity_);
 }
 
 void
@@ -59,6 +81,44 @@ PmHeap::backingWrite(PmOffset offset, const void *data, std::size_t len)
     }
 }
 
+void
+PmHeap::loadBackingFile()
+{
+    // Start the durable image from zero: clear its extent; every byte
+    // past that is zero already.
+    std::memset(durableImage_, 0, durableEnd_);
+    durableEnd_ = 0;
+
+    // Read only the file's data extents: its holes read as zero, which
+    // the image already holds. Without an extent map (SEEK_DATA
+    // unsupported) the rest of the file is read in full.
+    auto size = static_cast<off_t>(capacity_);
+    off_t pos = 0;
+    while (pos < size) {
+        off_t data = ::lseek(backingFd_, pos, SEEK_DATA);
+        off_t hole = size;
+        if (data < 0) {
+            if (errno == ENXIO)
+                break; // only holes past pos
+            data = pos;
+        } else {
+            hole = ::lseek(backingFd_, data, SEEK_HOLE);
+            if (hole < data || hole > size)
+                hole = size;
+        }
+        for (off_t at = data; at < hole;) {
+            ssize_t n = ::pread(backingFd_, durableImage_ + at,
+                                static_cast<std::size_t>(hole - at), at);
+            if (n <= 0)
+                fatal("PmHeap: backing-file read failed at %lld",
+                      static_cast<long long>(at));
+            at += n;
+        }
+        durableEnd_ = static_cast<std::uint64_t>(hole);
+        pos = hole;
+    }
+}
+
 PmHeap::BackingState
 PmHeap::attachBackingFile(const std::string &path, bool sync_every_fence)
 {
@@ -74,39 +134,26 @@ PmHeap::attachBackingFile(const std::string &path, bool sync_every_fence)
     if (::fstat(fd, &st) != 0)
         fatal("PmHeap: cannot stat backing file %s", path.c_str());
 
-    if (static_cast<std::uint64_t>(st.st_size) == capacity_) {
-        Bytes image(capacity_);
-        std::uint64_t got = 0;
-        while (got < capacity_) {
-            ssize_t n = ::pread(fd, image.data() + got, capacity_ - got,
-                                static_cast<off_t>(got));
-            if (n <= 0)
-                fatal("PmHeap: backing-file read failed at %llu",
-                      static_cast<unsigned long long>(got));
-            got += static_cast<std::uint64_t>(n);
-        }
-        Header header;
-        std::memcpy(&header, image.data(), sizeof(header));
-        if (header.magic == kMagic) {
-            durableImage_ = std::move(image);
-            // Same state as right after a power failure: volatile
-            // reverts to durable, staged/free-list state is gone.
-            volatileImage_ = durableImage_;
-            staged_.clear();
-            stageArena_.clear();
-            for (std::vector<PmOffset> &list : smallFree_)
-                list.clear();
-            freeLists_.clear();
-            freeBytes_ = 0;
-            accrued_ = 0;
-            counts_ = {};
-            return BackingState::Reopened;
-        }
+    Header header = {};
+    if (static_cast<std::uint64_t>(st.st_size) == capacity_ &&
+        ::pread(fd, &header, sizeof(header), 0) ==
+            static_cast<ssize_t>(sizeof(header)) &&
+        header.magic == kMagic) {
+        // Same state as right after a power failure: volatile
+        // reverts to durable, staged/free-list state is gone.
+        loadBackingFile();
+        revertToDurable();
+        accrued_ = 0;
+        counts_ = {};
+        return BackingState::Reopened;
     }
 
-    if (::ftruncate(fd, static_cast<off_t>(capacity_)) != 0)
+    // Truncate to zero first so no old byte survives, then write only
+    // the durable extent: the rest of the file stays a zero hole.
+    if (::ftruncate(fd, 0) != 0 ||
+        ::ftruncate(fd, static_cast<off_t>(capacity_)) != 0)
         fatal("PmHeap: cannot size backing file %s", path.c_str());
-    backingWrite(0, durableImage_.data(), durableImage_.size());
+    backingWrite(0, durableImage_, durableEnd_);
     return BackingState::Fresh;
 }
 
@@ -130,7 +177,7 @@ PmHeap::Header
 PmHeap::loadHeader() const
 {
     Header header;
-    std::memcpy(&header, volatileImage_.data(), sizeof(header));
+    std::memcpy(&header, volatileImage_, sizeof(header));
     return header;
 }
 
@@ -201,7 +248,8 @@ void
 PmHeap::write(PmOffset offset, const void *data, std::size_t len)
 {
     checkRange(offset, len);
-    std::memcpy(volatileImage_.data() + offset, data, len);
+    std::memcpy(volatileImage_ + offset, data, len);
+    volatileEnd_ = std::max(volatileEnd_, offset + len);
     std::size_t lines = CostModel::linesSpanned(offset, len);
     counts_.writeLines += lines;
     accrued_ += model_.writePerLine * static_cast<TickDelta>(lines);
@@ -211,7 +259,7 @@ void
 PmHeap::read(PmOffset offset, void *out, std::size_t len) const
 {
     checkRange(offset, len);
-    std::memcpy(out, volatileImage_.data() + offset, len);
+    std::memcpy(out, volatileImage_ + offset, len);
     std::size_t lines = CostModel::linesSpanned(offset, len);
     counts_.readLines += lines;
     accrued_ += model_.readPerLine * static_cast<TickDelta>(lines);
@@ -233,9 +281,8 @@ PmHeap::flush(PmOffset offset, std::size_t len)
     if (last > capacity_)
         last = capacity_;
     std::size_t pos = stageArena_.size();
-    stageArena_.insert(stageArena_.end(),
-                       volatileImage_.begin() + static_cast<long>(first),
-                       volatileImage_.begin() + static_cast<long>(last));
+    stageArena_.insert(stageArena_.end(), volatileImage_ + first,
+                       volatileImage_ + last);
     staged_.push_back(StagedRange{first, pos, last - first});
 
     std::size_t lines = CostModel::linesSpanned(offset, len);
@@ -253,8 +300,9 @@ PmHeap::fence()
         accrued_ += model_.fenceEmpty;
     } else {
         for (const StagedRange &r : staged_) {
-            std::memcpy(durableImage_.data() + r.off,
-                        stageArena_.data() + r.pos, r.len);
+            std::memcpy(durableImage_ + r.off, stageArena_.data() + r.pos,
+                        r.len);
+            durableEnd_ = std::max(durableEnd_, r.off + r.len);
             if (backingFd_ >= 0)
                 backingWrite(r.off, stageArena_.data() + r.pos, r.len);
         }
@@ -281,7 +329,7 @@ PmOffset
 PmHeap::root() const
 {
     Header header;
-    std::memcpy(&header, volatileImage_.data(), sizeof(header));
+    std::memcpy(&header, volatileImage_, sizeof(header));
     return header.root;
 }
 
@@ -292,20 +340,30 @@ PmHeap::setPersistBoundaryHook(PersistBoundaryHook hook)
 }
 
 void
+PmHeap::revertToDurable()
+{
+    staged_.clear();
+    stageArena_.clear();
+    // Past the larger extent both images are zero. Unfenced writes
+    // past durableEnd_ revert to zero here too.
+    std::memcpy(volatileImage_, durableImage_,
+                std::max(volatileEnd_, durableEnd_));
+    volatileEnd_ = durableEnd_;
+    // Volatile allocator metadata (free lists) is lost.
+    for (std::vector<PmOffset> &list : smallFree_)
+        list.clear();
+    freeLists_.clear();
+    freeBytes_ = 0;
+}
+
+void
 PmHeap::crash()
 {
     // A dead machine runs no hooks; dropping it here also keeps an
     // armed crash injector from re-firing during recovery replay.
     boundaryHook_ = nullptr;
     crashEpoch_++;
-    staged_.clear();
-    stageArena_.clear();
-    volatileImage_ = durableImage_;
-    // Volatile allocator metadata (free lists) is lost.
-    for (std::vector<PmOffset> &list : smallFree_)
-        list.clear();
-    freeLists_.clear();
-    freeBytes_ = 0;
+    revertToDurable();
     Header header = loadHeader();
     if (header.magic != kMagic)
         panic("PmHeap: durable header corrupted across crash");

@@ -23,6 +23,13 @@
  * A 64-byte persistent header holds the allocator bump pointer and the
  * root object offset (like a PMDK pool root), so recovery can re-find
  * the data structures.
+ *
+ * Both images are lazily-zeroed anonymous mappings, so a pool costs
+ * memory, time and file I/O in proportion to the bytes it has touched,
+ * not to its capacity. Two high-water marks bound the touched bytes:
+ * volatileEnd_ (advanced by write()) and durableEnd_ (by fence());
+ * every byte past them reads zero in its image. crash(), a fresh
+ * backing file and a reopen each work on that extent only.
  */
 
 #ifndef PMNET_PM_PM_HEAP_H
@@ -300,11 +307,19 @@ class PmHeap
     void storeHeader(const Header &header);
     void backingWrite(PmOffset offset, const void *data,
                       std::size_t len);
+    /** Read the backing file's data extents into the durable image. */
+    void loadBackingFile();
+    /** volatile := durable; staged ranges and free lists are lost. */
+    void revertToDurable();
 
     std::uint64_t capacity_;
     CostModel model_;
-    Bytes volatileImage_;
-    Bytes durableImage_;
+    /** Anonymous mappings of capacity_ bytes each; see the file comment. */
+    std::uint8_t *volatileImage_ = nullptr;
+    std::uint8_t *durableImage_ = nullptr;
+    /** Bytes at or past these offsets are zero in their image. */
+    std::uint64_t volatileEnd_ = 0;
+    std::uint64_t durableEnd_ = 0;
     /**
      * Ranges staged by flush(), applied to durable at fence(). The
      * byte content lives in a flat arena reused across fences (clear

@@ -10,8 +10,9 @@
  *    test_net.cc and round-trip through Packet::parsePayload.
  *  - GatewayLoopback.*: a whole in-process daemon on an ephemeral UDP
  *    port, driven by GatewayClient over 127.0.0.1 — end-to-end
- *    set/get, per-session overwrite order, and duplicate suppression
- *    of a raw re-sent datagram.
+ *    set/get, per-session overwrite order, duplicate suppression of a
+ *    raw re-sent datagram, and rejection of an out-of-range session
+ *    id at ingress.
  *  - GatewayRecovery.*: the daemon is destroyed without a graceful
  *    sync and reassembled on the same dataDir; every previously acked
  *    update must be readable by a fresh session.
@@ -310,6 +311,38 @@ TEST(GatewayLoopback, DuplicateRawDatagramIsSuppressedAndReAcked)
     EXPECT_GE(metrics.value("device.updatesReAcked") +
                   metrics.value("server.duplicatesDropped"),
               1u);
+}
+
+TEST(GatewayLoopback, OutOfRangeSessionIsRejectedAndDaemonServes)
+{
+    DaemonHarness harness;
+
+    // A session id past the server's session table must not reach the
+    // device or ServerLib (whose table lookups would panic).
+    constexpr std::uint16_t kHostileSession = 5000;
+    Bytes payload =
+        apps::encodeCommand(apps::Command{{"SET", "hostile", "x"}});
+    net::PacketPtr update = net::makePmnetPacket(
+        clientNode(kHostileSession), kServerNode,
+        net::PacketType::UpdateReq, kHostileSession, 1, payload);
+    Bytes wire = update->serializePayload();
+    UdpTransport raw;
+    Endpoint daemonAt = Endpoint::loopback(harness.port());
+    ASSERT_TRUE(raw.send(daemonAt, wire.data(), wire.size()));
+
+    GatewayClient::Config config;
+    config.server = daemonAt;
+    config.sessionId = 1;
+    GatewayClient client(std::move(config));
+    EXPECT_TRUE(client.set("alpha", "1", kOpTimeout));
+    EXPECT_EQ(client.get("alpha", kOpTimeout),
+              std::optional<std::string>("1"));
+    EXPECT_FALSE(client.get("hostile", kOpTimeout).has_value());
+
+    harness.stop();
+    const obs::MetricRegistry &metrics = harness.daemon().metrics();
+    EXPECT_EQ(metrics.value("gateway.reject.session_range"), 1u);
+    EXPECT_EQ(metrics.value("server.updatesApplied"), 1u);
 }
 
 // ------------------------------------------------------------------

@@ -7,7 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "net/packet.h"
 #include "pm/commit_epoch.h"
@@ -159,6 +167,202 @@ TEST(PmHeapDeath, OutOfBoundsPanics)
     PmHeap heap(1 << 20);
     std::uint8_t buf[16];
     EXPECT_DEATH(heap.read((1 << 20) - 4, buf, 16), "out of bounds");
+}
+
+// ------------------------------------- pm heap extents and backing file
+
+TEST(PmHeapExtent, UnfencedWritePastDurableEndRevertsToZero)
+{
+    constexpr std::uint64_t kCap = 1 << 20;
+    PmHeap heap(kCap);
+    // Nothing past the header was ever fenced: the last line is past
+    // the durable extent, the line before it is flushed but unfenced.
+    std::uint64_t value = 0xC0FFEE;
+    heap.writeObj(kCap - 64, value);
+    heap.writeObj(kCap - 128, value);
+    heap.flush(kCap - 128, sizeof(value));
+    heap.crash();
+    EXPECT_EQ(heap.readObj<std::uint64_t>(kCap - 64), 0u);
+    EXPECT_EQ(heap.readObj<std::uint64_t>(kCap - 128), 0u);
+
+    // A second crash after the extents shrank must still hold.
+    heap.writeObj(kCap - 64, value);
+    heap.crash();
+    EXPECT_EQ(heap.readObj<std::uint64_t>(kCap - 64), 0u);
+}
+
+/** Resident set size of this process, in KiB. */
+std::uint64_t
+residentKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoull(line.substr(6));
+    return 0;
+}
+
+TEST(PmHeapExtent, LargePoolCostsWhatItTouches)
+{
+    std::uint64_t before = residentKib();
+    ASSERT_GT(before, 0u);
+    PmHeap heap(256ull << 20);
+    heap.crash();
+    EXPECT_LT(residentKib() - before, 8u << 10);
+}
+
+/** A heap.img path in a fresh directory, removed at scope exit. */
+class ScratchFile
+{
+  public:
+    ScratchFile()
+    {
+        char templ[] = "/tmp/pmnet_heap_test_XXXXXX";
+        char *dir = ::mkdtemp(templ);
+        EXPECT_NE(dir, nullptr);
+        dir_ = dir ? dir : "";
+        path_ = dir_ + "/heap.img";
+    }
+    ~ScratchFile()
+    {
+        ::unlink(path_.c_str());
+        ::rmdir(dir_.c_str());
+    }
+
+    const std::string &path() const { return path_; }
+
+    /** The file's bytes. */
+    Bytes
+    contents() const
+    {
+        std::ifstream in(path_, std::ios::binary);
+        return Bytes(std::istreambuf_iterator<char>(in), {});
+    }
+
+    /** Replace the file with @p bytes, every one written out. */
+    void
+    overwrite(const Bytes &bytes) const
+    {
+        std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
+
+  private:
+    std::string dir_;
+    std::string path_;
+};
+
+/** Every byte of @p heap's volatile image. */
+Bytes
+heapImage(const PmHeap &heap)
+{
+    Bytes image(heap.capacity());
+    heap.read(0, image.data(), image.size());
+    return image;
+}
+
+constexpr std::uint64_t kFileCap = 1 << 20;
+
+TEST(PmHeapBacking, FenceAtLastLineReopensIdentical)
+{
+    ScratchFile file;
+    Bytes before;
+    {
+        PmHeap heap(kFileCap);
+        ASSERT_EQ(heap.attachBackingFile(file.path()),
+                  PmHeap::BackingState::Fresh);
+        PmOffset off = heap.alloc(64);
+        heap.persistObj<std::uint64_t>(off, 0x1234);
+        heap.setRoot(off);
+        std::uint64_t tail = 0xFEEDFACECAFEBEEF;
+        heap.writeObj(kFileCap - sizeof(tail), tail);
+        heap.flush(kFileCap - sizeof(tail), sizeof(tail));
+        heap.fence();
+        before = heapImage(heap);
+    }
+    // Only the touched lines were written out; the rest is a hole.
+    struct stat st = {};
+    ASSERT_EQ(::stat(file.path().c_str(), &st), 0);
+    EXPECT_EQ(static_cast<std::uint64_t>(st.st_size), kFileCap);
+    EXPECT_LT(static_cast<std::uint64_t>(st.st_blocks) * 512, kFileCap / 2);
+
+    PmHeap heap(kFileCap);
+    ASSERT_EQ(heap.attachBackingFile(file.path()),
+              PmHeap::BackingState::Reopened);
+    EXPECT_EQ(heapImage(heap), before);
+    EXPECT_EQ(file.contents(), before);
+    // Reopen leaves volatile == durable, as after crash().
+    heap.crash();
+    EXPECT_EQ(heapImage(heap), before);
+}
+
+TEST(PmHeapBacking, BadMagicSameSizeIsReinitializedToZero)
+{
+    ScratchFile file;
+    file.overwrite(Bytes(kFileCap, 0xAB));
+    {
+        PmHeap heap(kFileCap);
+        ASSERT_EQ(heap.attachBackingFile(file.path()),
+                  PmHeap::BackingState::Fresh);
+    }
+    PmHeap heap(kFileCap);
+    ASSERT_EQ(heap.attachBackingFile(file.path()),
+              PmHeap::BackingState::Reopened);
+    Bytes image = heapImage(heap);
+    Bytes zeros(kFileCap - 64, 0);
+    EXPECT_TRUE(std::equal(image.begin() + 64, image.end(), zeros.begin()));
+    Bytes onDisk = file.contents();
+    ASSERT_EQ(onDisk.size(), kFileCap);
+    EXPECT_TRUE(
+        std::equal(onDisk.begin() + 64, onDisk.end(), zeros.begin()));
+    EXPECT_EQ(heap.root(), kNullOffset);
+}
+
+TEST(PmHeapBacking, WrongSizeIsReinitialized)
+{
+    ScratchFile file;
+    {
+        // A valid pool of half the size: right magic, wrong capacity.
+        PmHeap heap(kFileCap / 2);
+        heap.attachBackingFile(file.path());
+        heap.setRoot(heap.alloc(64));
+    }
+    {
+        PmHeap heap(kFileCap);
+        ASSERT_EQ(heap.attachBackingFile(file.path()),
+                  PmHeap::BackingState::Fresh);
+    }
+    EXPECT_EQ(file.contents().size(), kFileCap);
+    PmHeap heap(kFileCap);
+    ASSERT_EQ(heap.attachBackingFile(file.path()),
+              PmHeap::BackingState::Reopened);
+    EXPECT_EQ(heap.root(), kNullOffset);
+}
+
+TEST(PmHeapBacking, FullyWrittenImageReopens)
+{
+    // An image with every capacity byte present (no holes), with data
+    // across the whole pool, as earlier releases wrote heap.img.
+    ScratchFile file;
+    {
+        PmHeap heap(kFileCap);
+        heap.attachBackingFile(file.path());
+        heap.setRoot(heap.alloc(64));
+    }
+    Bytes full = file.contents();
+    ASSERT_EQ(full.size(), kFileCap);
+    for (std::uint64_t i = 4096; i < kFileCap; i += 4096)
+        full[i + i / 4096 % 64] = static_cast<std::uint8_t>(i / 4096);
+    file.overwrite(full);
+
+    PmHeap heap(kFileCap);
+    ASSERT_EQ(heap.attachBackingFile(file.path()),
+              PmHeap::BackingState::Reopened);
+    EXPECT_EQ(heapImage(heap), full);
+    heap.crash();
+    EXPECT_EQ(heapImage(heap), full);
 }
 
 TEST(CostModel, LinesSpanned)

@@ -12,7 +12,7 @@
  * Examples:
  *   fault_matrix                       # exhaustive, all backends
  *   fault_matrix --backend btree --ops 64
- *   fault_matrix --smoke               # capped sweep for the fast CI job
+ *   fault_matrix --smoke               # capped sweep (quick checks)
  *   fault_matrix --json                # obs::Snapshot on stdout
  */
 
