@@ -49,7 +49,7 @@ class BenchJson
         cli::addExact(parser, common_);
         parser.optionUnsigned(
             "--threads", "N",
-            "simulation worker threads (0 = single simulator)",
+            "simulation worker threads (default 1)",
             &threads_);
         parser.parse(argc, argv, /*allow_unknown=*/true);
     }
@@ -66,7 +66,7 @@ class BenchJson
     bool exactStats() const { return common_.exact; }
 
     /** `--threads N`: TestbedConfig::simThreads for every testbed
-     *  the bench builds (0 = historical single-simulator mode). */
+     *  the bench builds (engine worker threads; 0 is read as 1). */
     unsigned threads() const { return threads_; }
 
     /** Stats mode for benches that default to streaming collection. */
@@ -126,7 +126,7 @@ class BenchJson
 
     std::string bench_;
     cli::CommonOptions common_;
-    unsigned threads_ = 0;
+    unsigned threads_ = 1;
     bool written_ = false;
     obs::Json rows_;
 };

@@ -13,7 +13,7 @@
  *
  * Everything is simulated-deterministic: rows are keyed by scenario
  * name (bench_diff matches on it) and the smoke grid is pinned as a
- * golden, including --threads 1/4 byte-identity.
+ * golden, including --threads 1/3/4 byte-identity.
  */
 
 #include "bench_util.h"

@@ -43,9 +43,8 @@ main()
     };
 
     testbed::Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
     bed.startDrivers();
-    sim.run(sim.now() + milliseconds(60));
+    bed.runFor(milliseconds(60));
 
     std::uint64_t logged_at_failure = bed.device(0).logStore().size();
     std::printf("log occupancy at failure: %llu entries "
@@ -58,9 +57,9 @@ main()
     for (std::size_t c = 0; c < bed.clientCount(); c++)
         bed.driver(c).stop();
     bed.serverHost().powerFail();
-    sim.run(sim.now() + milliseconds(1));
+    bed.runFor(milliseconds(1));
 
-    Tick restore_at = sim.now();
+    Tick restore_at = bed.now();
     bed.serverHost().powerRestore();
 
     // Run until the log drains (every replayed request committed and
@@ -69,17 +68,17 @@ main()
     // stalls for 50 ms.
     Tick deadline = restore_at + seconds(10.0);
     std::uint64_t last_size = bed.device(0).logStore().size();
-    Tick last_change = sim.now();
-    Tick drained_at = sim.now();
-    while (sim.now() < deadline) {
-        sim.run(sim.now() + milliseconds(1));
+    Tick last_change = bed.now();
+    Tick drained_at = bed.now();
+    while (bed.now() < deadline) {
+        bed.runFor(milliseconds(1));
         std::uint64_t size = bed.device(0).logStore().size();
         if (size != last_size) {
             last_size = size;
-            last_change = sim.now();
-            drained_at = sim.now();
+            last_change = bed.now();
+            drained_at = bed.now();
         }
-        if (size == 0 || sim.now() - last_change > milliseconds(50))
+        if (size == 0 || bed.now() - last_change > milliseconds(50))
             break;
     }
 

@@ -66,14 +66,13 @@ main()
     // Consistency demo: read-your-write through the switch.
     std::printf("\nConsistency demo: ");
     testbed::Testbed bed(readHeavyConfig(true));
-    auto &sim = bed.simulator();
     auto &lib = bed.clientLib(0);
     lib.startSession();
 
     bool acked = false;
     lib.sendUpdate(cmd({"SET", "demo-key", "fresh-value"}),
                    [&]() { acked = true; });
-    sim.run(sim.now() + microseconds(100));
+    bed.runFor(microseconds(100));
 
     std::string value;
     lib.bypass(cmd({"GET", "demo-key"}), [&](const Bytes &resp) {
@@ -81,8 +80,8 @@ main()
         if (decoded)
             value = decoded->value;
     });
-    Tick issued = sim.now();
-    sim.run(sim.now() + milliseconds(2));
+    Tick issued = bed.now();
+    bed.runFor(milliseconds(2));
 
     std::printf("update acked=%s, GET returned \"%s\" (switch-served, "
                 "sub-RTT)\n",

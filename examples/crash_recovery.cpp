@@ -35,12 +35,11 @@ main()
     config.clientCount = 1;
 
     testbed::Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
     auto &lib = bed.clientLib(0);
     lib.startSession();
 
     std::printf("[t=%.1fus] client sends 5 INCRs + 3 SETs\n",
-                toMicroseconds(sim.now()));
+                toMicroseconds(bed.now()));
     int acked = 0;
     for (int i = 0; i < 5; i++)
         lib.sendUpdate(cmd({"INCR", "counter"}), [&]() { acked++; });
@@ -49,10 +48,10 @@ main()
                             "v" + std::to_string(i)}),
                        [&]() { acked++; });
 
-    sim.run(sim.now() + microseconds(30));
+    bed.runFor(microseconds(30));
     std::printf("[t=%.1fus] %d/8 acknowledged by the switch; server "
                 "committed %u of 8; switch holds %zu log entries\n",
-                toMicroseconds(sim.now()), acked,
+                toMicroseconds(bed.now()), acked,
                 bed.serverLib().appliedSeq(1),
                 static_cast<std::size_t>(
                     bed.device(0).logStore().size()));
@@ -60,18 +59,18 @@ main()
     bed.serverHost().powerFail();
     std::printf("[t=%.1fus] SERVER POWER FAILURE (volatile state "
                 "lost; PM survives)\n",
-                toMicroseconds(sim.now()));
-    sim.run(sim.now() + milliseconds(1));
+                toMicroseconds(bed.now()));
+    bed.runFor(milliseconds(1));
 
     bed.serverHost().powerRestore();
     std::printf("[t=%.1fus] server restored; sends RecoveryPoll to "
                 "the switch\n",
-                toMicroseconds(sim.now()));
-    sim.run(sim.now() + milliseconds(20));
+                toMicroseconds(bed.now()));
+    bed.runFor(milliseconds(20));
 
     std::printf("[t=%.1fus] switch replayed %llu requests; server "
                 "watermark now %u/8; log holds %zu entries\n",
-                toMicroseconds(sim.now()),
+                toMicroseconds(bed.now()),
                 static_cast<unsigned long long>(
                     bed.metrics().value("device0.recoveryResent")),
                 bed.serverLib().appliedSeq(1),
@@ -84,9 +83,9 @@ main()
         if (decoded)
             counter = decoded->value;
     });
-    sim.run(sim.now() + milliseconds(2));
+    bed.runFor(milliseconds(2));
     std::printf("[t=%.1fus] GET counter -> %s (exactly-once: 5 INCRs "
                 "=> 5, despite resends and replay)\n",
-                toMicroseconds(sim.now()), counter.c_str());
+                toMicroseconds(bed.now()), counter.c_str());
     return 0;
 }

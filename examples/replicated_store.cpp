@@ -58,25 +58,24 @@ main()
     // Permanent failure of one replica + server crash: any surviving
     // switch can replay the log (Section IV-E2).
     std::printf("\nFailure drill: ");
-    auto &sim = bed.simulator();
     for (std::size_t c = 0; c < bed.clientCount(); c++)
         bed.driver(c).stop();
-    sim.run(sim.now() + milliseconds(5));
+    bed.runFor(milliseconds(5));
 
     auto &lib = bed.clientLib(0);
     int acked = 0;
     for (int i = 0; i < 5; i++)
         lib.sendUpdate(cmd({"SET", "drill" + std::to_string(i), "v"}),
                        [&]() { acked++; });
-    sim.run(sim.now() + microseconds(60));
+    bed.runFor(microseconds(60));
 
     // One replica dies permanently and is swapped for a blank unit —
     // its log contents are gone for good (Section IV-E2).
     bed.device(1).replaceUnit();
     bed.serverHost().powerFail();
-    sim.run(sim.now() + milliseconds(1));
+    bed.runFor(milliseconds(1));
     bed.serverHost().powerRestore();
-    sim.run(sim.now() + milliseconds(30));
+    bed.runFor(milliseconds(30));
 
     std::string got;
     lib.bypass(cmd({"GET", "drill4"}), [&](const Bytes &resp) {
@@ -84,7 +83,7 @@ main()
         if (decoded)
             got = decoded->value;
     });
-    sim.run(sim.now() + milliseconds(2));
+    bed.runFor(milliseconds(2));
 
     std::printf("acked=%d/5 before the crash; after switch #2 lost "
                 "its log AND the server crashed, GET drill4 -> "

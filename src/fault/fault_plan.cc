@@ -162,10 +162,9 @@ void
 FaultRunner::scheduleAction(const FaultAction &action)
 {
     // Every event is routed to the partition owning the touched state
-    // (link direction, host, device); in single-simulator mode these
-    // all resolve to the one shared simulator. Called from the
-    // coordinating thread before the run, so scheduling directly on
-    // foreign partitions is safe.
+    // (link direction, host, device). Called from the coordinating
+    // thread before the run, so scheduling directly on foreign
+    // partitions is safe.
     Tick base_tick = testbed_->now();
     switch (action.kind) {
       case FaultAction::Kind::LossBurst: {
@@ -269,8 +268,7 @@ FaultRunner::issueUpdates()
 {
     Tick base_tick = testbed_->now();
     for (std::size_t c = 0; c < testbed_->clientCount(); c++) {
-        // Each client's script runs on its own host's partition (the
-        // shared simulator when simThreads == 0).
+        // Each client's script runs on its own host's partition.
         sim::Simulator &sim = testbed_->clientHost(c).simulator();
         // Small per-client stagger so clients never tick in lockstep.
         TickDelta stagger = microseconds(1) * static_cast<TickDelta>(c);

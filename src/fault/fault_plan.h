@@ -191,7 +191,7 @@ class FaultRunner
     std::unique_ptr<ChainRepairCoordinator> repairCoord_;
     InvariantReport report_;
     /**
-     * Guards report_ inside simulation callbacks: with simThreads >= 1
+     * Guards report_ inside simulation callbacks: with simThreads >= 2
      * the read-audit completions fire on client partitions, which run
      * on different workers. Checker phases that run between windows
      * (coordinator only) need no lock. Violation *order* across

@@ -27,7 +27,7 @@
  * actions and hands it to the existing FaultRunner, so every row is
  * swept against the P1–P3 invariant checker, and — everything being
  * driven by the links' deterministic RNGs — a row's InvariantReport
- * text is byte-identical across simThreads 0/1/N.
+ * text is byte-identical for every simThreads value.
  */
 
 #ifndef PMNET_FAULT_SCENARIO_H
@@ -91,7 +91,7 @@ const Scenario *findScenario(const std::string &name);
 struct ScenarioRunOptions
 {
     kv::KvKind kind = kv::KvKind::Hashmap;
-    unsigned simThreads = 0;
+    unsigned simThreads = 1;
     std::uint64_t seed = 42;
     bool auditReads = true;
 };

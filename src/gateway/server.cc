@@ -72,6 +72,11 @@ GatewayServer::GatewayServer(Config config)
                         inProcessLink()),
       heap_(config_.heapBytes), runtime_(sim_, clock_)
 {
+    // The journal entries restored into the device log come from this
+    // thread's pool and are released by whichever thread runs the
+    // loop, while this thread may go on acquiring (a client in the
+    // same process): arm the pool for cross-thread releases.
+    net::PacketPool::local().enableConcurrent();
     assembleTopology();
     recoverOrInit();
     installHandler();

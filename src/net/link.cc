@@ -46,7 +46,7 @@ Node::powerRestore()
 }
 
 Link::Link(sim::Simulator &simulator, std::string object_name, Node &end_a,
-           Node &end_b, LinkConfig config, sim::Engine *engine)
+           Node &end_b, LinkConfig config)
     : SimObject(simulator, std::move(object_name)), config_(config),
       endA_(&end_a), endB_(&end_b)
 {
@@ -74,8 +74,9 @@ Link::Link(sim::Simulator &simulator, std::string object_name, Node &end_a,
         Rng(config_.lossSeed ^ 0x494D5041ull ^ 0x9E3779B97F4A7C15ull);
 
     if (dirs_[0].sim != dirs_[1].sim) {
+        sim::Engine *engine = dirs_[0].sim->engine();
         if (engine == nullptr)
-            fatal("%s: endpoints on different partitions but no engine",
+            fatal("%s: endpoints on different simulators but no engine",
                   name().c_str());
         if (config_.propagation <= 0)
             fatal("%s: cross-partition links need positive propagation "

@@ -22,7 +22,6 @@
 #include "net/node.h"
 
 namespace pmnet::sim {
-class Engine;
 class LinkChannel;
 } // namespace pmnet::sim
 
@@ -51,17 +50,17 @@ struct LinkConfig
  * partition, so the two directions never share mutable state. When
  * the endpoints live on different Engine partitions, delivery crosses
  * through a sim::LinkChannel mailbox bounded by the propagation
- * latency — links are exactly the lookahead edges of DESIGN.md §12.
- * The queue-release accounting stays on the transmitting partition
- * (a local event at the arrival tick), matching the single-simulator
- * event order.
+ * latency — such links are the lookahead edges of DESIGN.md §12; a
+ * link inside one partition schedules its deliveries directly. The
+ * queue-release accounting stays on the transmitting partition (a
+ * local event at the arrival tick), so the event order is the same
+ * either way.
  */
 class Link : public sim::SimObject
 {
   public:
     Link(sim::Simulator &simulator, std::string object_name,
-         Node &end_a, Node &end_b, LinkConfig config = {},
-         sim::Engine *engine = nullptr);
+         Node &end_a, Node &end_b, LinkConfig config = {});
 
     /**
      * Enqueue @p pkt for transmission away from @p from.

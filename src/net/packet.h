@@ -236,7 +236,9 @@ class PacketPool
      * on the receiving partition), so the engine's thread-init hook
      * switches every executing thread's pool into concurrent mode:
      * free-list and control-block arena operations take an internal
-     * mutex from then on. One-way; engine-less runs never pay for it.
+     * mutex from then on. A gateway::GatewayServer arms the pool of
+     * the thread that constructs it the same way, since its loop may
+     * run on another thread. One-way.
      */
     void enableConcurrent();
 

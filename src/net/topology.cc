@@ -3,25 +3,16 @@
 #include <queue>
 
 #include "common/logging.h"
-#include "sim/parallel.h"
 
 namespace pmnet::net {
 
 sim::Simulator &
-Topology::simulator()
-{
-    if (sim_ == nullptr)
-        fatal("Topology::simulator: engine-partitioned topology has no "
-              "single shared simulator");
-    return *sim_;
-}
-
-sim::Simulator &
 Topology::simForNewNode()
 {
-    if (engine_ != nullptr)
+    std::size_t index = nodes_.size() % engine_->workers();
+    if (index == engine_->partitionCount())
         return engine_->addPartition();
-    return *sim_;
+    return engine_->partition(index);
 }
 
 Link &
@@ -32,7 +23,7 @@ Topology::connect(Node &a, Node &b, LinkConfig config)
     auto link = std::make_unique<Link>(
         a.simulator(), formatMessage("link(%s,%s)", a.name().c_str(),
                                      b.name().c_str()),
-        a, b, config, engine_);
+        a, b, config);
     Link &ref = *link;
     links_.push_back(std::move(link));
     return ref;

@@ -15,27 +15,26 @@
 #include <vector>
 
 #include "net/switch.h"
+#include "sim/parallel.h"
 
 namespace pmnet::net {
 
 /**
- * Owns the graph of nodes and links for one experiment.
+ * Owns the graph of nodes and links for one experiment, laid out on
+ * the partitions of a sim::Engine (DESIGN.md section 12).
  *
- * Two construction modes: bound to one Simulator (every node shares
- * it — the historical single-threaded layout), or bound to a
- * sim::Engine, in which case every node gets its *own* partition and
- * every link doubles as the lookahead-bounded channel pair between
- * its endpoints' partitions. The partition layout is a pure function
- * of the topology (one per node, in addNode order) — never of the
- * engine's worker count — which is what makes N-worker runs
- * byte-identical to 1-worker runs.
+ * Node i (in addNode order) lives on partition i mod workers, so the
+ * engine has one partition per worker, and exactly one at one worker.
+ * A link whose ends share a partition schedules its deliveries
+ * directly; only a link that crosses partitions becomes a
+ * lookahead-bounded channel pair. Output does not depend on this
+ * layout: every event fires in (when, sched, seq) order whichever
+ * partition holds it, so runs are byte-identical for any worker
+ * count.
  */
 class Topology
 {
   public:
-    explicit Topology(sim::Simulator &simulator) : sim_(&simulator) {}
-
-    /** Engine-partitioned mode: one partition per node. */
     explicit Topology(sim::Engine &engine) : engine_(&engine) {}
 
     /**
@@ -71,17 +70,10 @@ class Topology
     std::size_t nodeCount() const { return nodes_.size(); }
     Node &node(NodeId node_id) const;
 
-    /** The shared simulator. @pre single-simulator mode. */
-    sim::Simulator &simulator();
-
-    /** The owning engine; null in single-simulator mode. */
-    sim::Engine *engine() const { return engine_; }
-
   private:
     sim::Simulator &simForNewNode();
 
-    sim::Simulator *sim_ = nullptr;
-    sim::Engine *engine_ = nullptr;
+    sim::Engine *engine_;
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<Link>> links_;
 };

@@ -93,6 +93,9 @@ Engine::startWorkers()
 {
     if (workers_ <= 1 || !threads_.empty())
         return;
+    // The coordinator runs worker 0's share of every window.
+    if (threadInit_)
+        threadInit_();
     threads_.reserve(workers_ - 1);
     for (unsigned w = 1; w < workers_; w++)
         threads_.emplace_back([this, w]() { workerMain(w); });
@@ -203,11 +206,6 @@ Engine::minNextEventTime()
 std::uint64_t
 Engine::run(Tick until)
 {
-    if (!coordinatorInited_) {
-        coordinatorInited_ = true;
-        if (threadInit_)
-            threadInit_();
-    }
     startWorkers();
     stopRequested_.store(false, std::memory_order_relaxed);
     for (auto &p : partitions_)

@@ -2,13 +2,14 @@
  * @file
  * Partitioned parallel discrete-event engine (DESIGN.md §12).
  *
- * The Engine owns N Simulators ("partitions") and advances them
- * concurrently under conservative lookahead synchronization: links are
- * the only cross-partition edges, every link has a positive minimum
- * propagation latency L, so once the globally earliest pending event
- * is at tick T0, *every* event in [T0, T0 + min L) is safe to execute
- * without seeing anything a neighbour has not sent yet. The run loop
- * is therefore a sequence of windows:
+ * The Engine owns Simulators ("partitions", one per worker in the
+ * testbed's layout) and advances them concurrently under conservative
+ * lookahead synchronization: links are the only cross-partition edges,
+ * every such link has a positive minimum propagation latency L, so once
+ * the globally earliest pending event is at tick T0, *every* event in
+ * [T0, T0 + min L) is safe to execute without seeing anything a
+ * neighbour has not sent yet. The run loop is therefore a sequence of
+ * windows:
  *
  *   1. drain every LinkChannel mailbox into its target partition,
  *      in deterministic (arrive, sent, channel-registration) order;
@@ -18,13 +19,13 @@
  *      parallel on the worker pool;
  *   5. barrier; repeat.
  *
- * Determinism: the partition structure and channel registration order
- * derive from the topology, never from the worker count; partitions
- * are single-threaded within a window; mailboxes are drained on the
- * coordinating thread between barriers in a stable sorted order; and
- * each delivery is re-keyed by its send tick (Simulator's
- * (when, sched, seq) ordering). Output is therefore byte-identical
- * for any worker count, including 1.
+ * Determinism: partitions are single-threaded within a window;
+ * mailboxes are drained on the coordinating thread between barriers
+ * in a stable sorted order; and each delivery is re-keyed by its send
+ * tick (Simulator's (when, sched, seq) ordering), so it fires where it
+ * would have had sender and receiver shared one partition. With no
+ * channels (one partition) lookahead is unbounded and each run() is
+ * a single window.
  *
  * A send during window [T0, horizon) happens at tick >= T0 and its
  * delivery arrives at >= send + L >= T0 + lookahead >= horizon, i.e.
@@ -125,7 +126,9 @@ class Engine
      * Hook invoked exactly once on every executing thread (the
      * coordinator and each pool worker) before it runs its first
      * event — e.g. to switch the thread's PacketPool to concurrent
-     * mode. Set before the first run().
+     * mode. A one-worker engine runs every event on the calling
+     * thread, shares nothing across threads and never invokes it.
+     * Set before the first run().
      */
     void setThreadInit(std::function<void()> fn)
     {
@@ -178,7 +181,6 @@ class Engine
 
     unsigned workers_;
     std::function<void()> threadInit_;
-    bool coordinatorInited_ = false;
 
     std::vector<std::unique_ptr<Simulator>> partitions_;
     std::vector<std::unique_ptr<LinkChannel>> channels_;

@@ -280,6 +280,10 @@ class Simulator
     /** Event-record slots ever allocated (diagnostics/tests). */
     std::size_t slabSize() const { return slots_.size(); }
 
+    /** The Engine this Simulator is a partition of; null for a lone
+     *  Simulator. */
+    Engine *engine() const { return engine_; }
+
   private:
     friend class EventHandle;
     friend class Engine;

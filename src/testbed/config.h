@@ -156,16 +156,12 @@ struct TestbedConfig
     std::uint64_t seed = 42;
 
     /**
-     * Simulation threading. 0 (default) keeps the historical layout:
-     * one Simulator shared by every node, advanced on the calling
-     * thread. >= 1 builds the partitioned engine instead — one event
-     * queue per node, link-latency lookahead windows — advanced by
-     * this many worker threads. The partition layout depends only on
-     * the topology, never on the worker count, so results are
-     * byte-identical across simThreads values >= 1 (and match 0 for
-     * every published figure output; see DESIGN.md section 12).
+     * Worker threads of the sim::Engine that runs the testbed (0 is
+     * read as 1). Node i lives on partition i mod simThreads; links
+     * between partitions bound the lookahead windows. Results are
+     * byte-identical for every value (DESIGN.md section 12).
      */
-    unsigned simThreads = 0;
+    unsigned simThreads = 1;
 
     /** @name Observability (DESIGN.md section 11)
      * Metric registration is always on (it only attaches pointers to

@@ -1,7 +1,6 @@
 #include "testbed/system.h"
 
 #include "common/logging.h"
-#include "sim/parallel.h"
 
 namespace pmnet::testbed {
 
@@ -19,7 +18,8 @@ systemModeName(SystemMode mode)
 }
 
 Testbed::Testbed(TestbedConfig config)
-    : config_(std::move(config)), rng_(config_.seed)
+    : config_(std::move(config)), engine_(config_.simThreads),
+      rng_(config_.seed)
 {
     if (config_.clientCount <= 0)
         fatal("Testbed: clientCount must be positive");
@@ -54,46 +54,28 @@ Testbed::Testbed(TestbedConfig config)
 
 Testbed::~Testbed() = default;
 
-sim::Simulator &
-Testbed::simulator()
-{
-    if (engine_)
-        fatal("Testbed::simulator: partitioned testbed (simThreads=%u) "
-              "has one clock per node; use now()/runUntil() or a "
-              "node's own simulator()",
-              config_.simThreads);
-    return sim_;
-}
-
 Tick
 Testbed::now() const
 {
-    return engine_ ? engine_->now() : sim_.now();
+    return engine_.now();
 }
 
 void
 Testbed::runUntil(Tick until)
 {
-    if (engine_)
-        engine_->run(until);
-    else
-        sim_.run(until);
+    engine_.run(until);
 }
 
 void
 Testbed::buildTopology()
 {
-    if (config_.simThreads > 0) {
-        engine_ = std::make_unique<sim::Engine>(config_.simThreads);
-        // Workers that execute partition events also acquire/release
-        // pooled packets; arm every executing thread's pool for
-        // cross-thread releases before the first event runs.
-        engine_->setThreadInit(
-            []() { net::PacketPool::local().enableConcurrent(); });
-        topo_ = std::make_unique<net::Topology>(*engine_);
-    } else {
-        topo_ = std::make_unique<net::Topology>(sim_);
-    }
+    // Workers that execute partition events also acquire/release
+    // pooled packets; arm every executing thread's pool for
+    // cross-thread releases before the first event runs (the engine
+    // calls this only when it runs more than one worker).
+    engine_.setThreadInit(
+        []() { net::PacketPool::local().enableConcurrent(); });
+    topo_ = std::make_unique<net::Topology>(engine_);
 
     shardUnits_.resize(config_.shards);
     bool multi = config_.shards > 1;
@@ -320,8 +302,7 @@ Testbed::buildClients()
         sinks.measuring = &measuring_;
         shards_.push_back(std::move(shard));
 
-        // The driver lives on its client's partition (== sim_ in
-        // single-simulator mode).
+        // The driver lives on its client's partition.
         std::uint16_t session = static_cast<std::uint16_t>(i + 1);
         Client &client = clients_[static_cast<std::size_t>(i)];
         drivers_.push_back(std::make_unique<ClientDriver>(
@@ -396,24 +377,17 @@ Testbed::wireObservability()
     }
     net::PacketPool::local().registerMetrics(metrics_, "packetPool");
 
-    if (engine_) {
-        // Engine-mode-only paths, so single-simulator snapshots stay
-        // byte-identical to pre-engine builds.
-        sim::Engine *eng = engine_.get();
-        metrics_.probe("engine.workers", [eng]() {
-            return obs::Json(static_cast<std::uint64_t>(eng->workers()));
-        });
-        metrics_.probe("engine.partitions", [eng]() {
-            return obs::Json(
-                static_cast<std::uint64_t>(eng->partitionCount()));
-        });
-        metrics_.probe("engine.windows", [eng]() {
-            return obs::Json(eng->windows());
-        });
-        metrics_.probe("engine.events", [eng]() {
-            return obs::Json(eng->eventsExecuted());
-        });
-    }
+    sim::Engine *eng = &engine_;
+    metrics_.probe("engine.workers", [eng]() {
+        return obs::Json(static_cast<std::uint64_t>(eng->workers()));
+    });
+    metrics_.probe("engine.partitions", [eng]() {
+        return obs::Json(static_cast<std::uint64_t>(eng->partitionCount()));
+    });
+    metrics_.probe("engine.windows",
+                   [eng]() { return obs::Json(eng->windows()); });
+    metrics_.probe("engine.events",
+                   [eng]() { return obs::Json(eng->eventsExecuted()); });
 
     if (!config_.observability)
         return;
@@ -422,8 +396,7 @@ Testbed::wireObservability()
     // and the figure binaries promise byte-identical output with it
     // off.
     recorder_ = std::make_unique<obs::FlightRecorder>(config_.flightSlots);
-    if (engine_)
-        recorder_->setConcurrent(true);
+    recorder_->setConcurrent(engine_.workers() > 1);
     obs::FlightRecorder *rec = recorder_.get();
     for (auto &client : clients_) {
         client.host->setRecorder(rec);

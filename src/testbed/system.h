@@ -33,6 +33,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metric_registry.h"
 #include "pmnet/shard_map.h"
+#include "sim/parallel.h"
 #include "testbed/driver.h"
 
 namespace pmnet::testbed {
@@ -85,20 +86,19 @@ class Testbed
     RunResults endMeasurement();
 
     /**
-     * The shared simulator. @pre simThreads == 0: a partitioned
-     * testbed has one clock per node — use now()/runFor()/runUntil()
-     * for time control and Node::simulator() to schedule against a
+     * The server host's partition. Use now()/runFor()/runUntil() for
+     * time control and Node::simulator() to schedule against a
      * specific node's partition.
      */
-    sim::Simulator &simulator();
+    sim::Simulator &simulator() { return serverHost().simulator(); }
 
-    /** The partitioned engine; null when simThreads == 0. */
-    sim::Engine *engine() { return engine_.get(); }
+    /** The engine every node's partition belongs to; never null. */
+    sim::Engine *engine() { return &engine_; }
 
-    /** Current simulated time, in either threading mode. */
+    /** Current simulated time: the latest partition clock. */
     Tick now() const;
 
-    /** Advance simulated time (engine- or simulator-backed). */
+    /** Advance simulated time on every partition. */
     void runUntil(Tick until);
     void runFor(TickDelta duration) { runUntil(now() + duration); }
     /** @} */
@@ -196,11 +196,11 @@ class Testbed
      * Per-driver measurement shard. Each driver records only into its
      * own shard (its partition owns it — no sharing, no locks);
      * endMeasurement merges the shards in driver order into the
-     * run-level series. Used in both threading modes so the sample
-     * streams are identical by construction, and safe for the summary
-     * outputs either way: percentiles/CDFs sort, and the mean's
-     * double accumulation of integer tick values stays below 2^53, so
-     * merge order cannot change any emitted figure.
+     * run-level series, so the sample streams do not depend on the
+     * partition layout. The merge is safe for the summary outputs:
+     * percentiles/CDFs sort, and the mean's double accumulation of
+     * integer tick values stays below 2^53, so merge order cannot
+     * change any emitted figure.
      */
     struct DriverShard
     {
@@ -218,10 +218,9 @@ class Testbed
     void wireObservability();
 
     TestbedConfig config_;
-    sim::Simulator sim_; ///< unused when engine_ is set
     /** Declared before topo_: nodes reference engine partitions, so
      *  the topology must be destroyed first (reverse member order). */
-    std::unique_ptr<sim::Engine> engine_;
+    sim::Engine engine_;
     std::unique_ptr<net::Topology> topo_;
 
     obs::MetricRegistry metrics_;

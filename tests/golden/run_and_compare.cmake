@@ -9,9 +9,9 @@
 #         [-DEXTRA_ARGS=<args;list>] -P run_and_compare.cmake
 #
 # EXTRA_ARGS (a ;-list) is appended to the bench command line; the
-# golden-*-threads variants use it to pin the partitioned engine's
-# output ("--threads;1", "--threads;4") to the same goldens recorded
-# from the single-simulator build.
+# golden-*-threads variants use it to pin the engine's output at
+# other worker counts ("--threads;3", "--threads;4") to the same
+# goldens.
 if(NOT DEFINED EXTRA_ARGS)
     set(EXTRA_ARGS "")
 endif()

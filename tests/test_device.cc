@@ -57,8 +57,8 @@ class ProbeNode : public net::Node
 
 struct DeviceRig
 {
-    sim::Simulator sim;
-    net::Topology topo{sim};
+    sim::Engine engine;
+    net::Topology topo{engine};
     obs::MetricRegistry metrics;
     ProbeNode *client = nullptr;
     PmnetDevice *dev = nullptr;
@@ -117,7 +117,7 @@ TEST(Device, UpdateForwardedAndAcked)
     DeviceRig rig;
     auto pkt = rig.update(1);
     rig.fromClient(pkt);
-    rig.sim.run();
+    rig.engine.run();
 
     EXPECT_EQ(rig.server->countType(PacketType::UpdateReq), 1u)
         << "request forwarded to the server";
@@ -138,7 +138,7 @@ TEST(Device, AckArrivesAfterForwardedRequest)
     // write (273ns + transfer), so it must not beat the forward.
     DeviceRig rig;
     rig.fromClient(rig.update(1));
-    rig.sim.run();
+    rig.engine.run();
     ASSERT_EQ(rig.server->got.size(), 1u);
     ASSERT_EQ(rig.client->got.size(), 1u);
 }
@@ -152,7 +152,7 @@ TEST(Device, CorruptHashDroppedNotForwarded)
     auto bad = std::make_shared<net::Packet>(*rig.update(1));
     bad->pmnet->hashVal ^= 0xFF; // corrupted on the way
     rig.fromClient(bad);
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::UpdateReq), 0u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
     EXPECT_EQ(rig.stat("bypassBadHash"), 1u);
@@ -164,9 +164,9 @@ TEST(Device, DuplicateUpdateReAcked)
     DeviceRig rig;
     auto pkt = rig.update(1);
     rig.fromClient(pkt);
-    rig.sim.run();
+    rig.engine.run();
     rig.fromClient(pkt); // client resend after a lost ACK
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 2u);
     EXPECT_EQ(rig.stat("updatesReAcked"), 1u);
     EXPECT_EQ(rig.dev->logStore().size(), 1u) << "still one entry";
@@ -180,9 +180,9 @@ TEST(Device, CollisionBypassesLogging)
     config.pm.capacityBytes = 2048; // exactly one slot
     DeviceRig rig(config);
     rig.fromClient(rig.update(1));
-    rig.sim.run();
+    rig.engine.run();
     rig.fromClient(rig.update(2)); // different hash, same single slot
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::UpdateReq), 2u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 1u)
         << "second update must not be early-ACKed";
@@ -198,7 +198,7 @@ TEST(Device, OversizedUpdateBypassesLogging)
     config.pm.slotBytes = 2048;
     DeviceRig rig(config);
     rig.fromClient(rig.update(1, 4000)); // > slot
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::UpdateReq), 1u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
     EXPECT_EQ(rig.stat("bypassTooLarge"), 1u);
@@ -213,7 +213,7 @@ TEST(Device, WriteQueueFullBypasses)
     // Two back-to-back updates: the second finds the queue full.
     rig.fromClient(rig.update(1, 150));
     rig.fromClient(rig.update(2, 150));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::UpdateReq), 2u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 1u);
     EXPECT_EQ(rig.stat("bypassQueueFull"), 1u);
@@ -226,7 +226,7 @@ TEST(Device, BypassReqNeverLoggedOrAcked)
                                         rig.server->id(),
                                         PacketType::BypassReq, 1, 1,
                                         Bytes(50)));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::BypassReq), 1u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
     EXPECT_EQ(rig.dev->logStore().size(), 0u);
@@ -237,13 +237,13 @@ TEST(Device, ServerAckInvalidatesAndForwards)
     DeviceRig rig;
     auto pkt = rig.update(1);
     rig.fromClient(pkt);
-    rig.sim.run();
+    rig.engine.run();
     ASSERT_EQ(rig.dev->logStore().size(), 1u);
 
     rig.fromServer(net::makeRefPacket(rig.server->id(), rig.client->id(),
                                       PacketType::ServerAck, 1, 1,
                                       pkt->pmnet->hashVal));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->logStore().size(), 0u) << "entry reclaimed";
     EXPECT_EQ(rig.client->countType(PacketType::ServerAck), 1u)
         << "ACK continues to the client";
@@ -256,7 +256,7 @@ TEST(Device, ServerAckForUnknownHashStillForwards)
     rig.fromServer(net::makeRefPacket(rig.server->id(), rig.client->id(),
                                       PacketType::ServerAck, 1, 9,
                                       0xDEAD));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.client->countType(PacketType::ServerAck), 1u);
 }
 
@@ -265,13 +265,13 @@ TEST(Device, RetransServedFromLog)
     DeviceRig rig;
     auto pkt = rig.update(7);
     rig.fromClient(pkt);
-    rig.sim.run();
+    rig.engine.run();
     std::size_t before = rig.server->countType(PacketType::UpdateReq);
 
     rig.fromServer(net::makeRefPacket(rig.server->id(), rig.client->id(),
                                       PacketType::Retrans, 1, 7,
                                       pkt->pmnet->hashVal));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::UpdateReq), before + 1)
         << "logged packet resent to the server";
     EXPECT_EQ(rig.client->countType(PacketType::Retrans), 0u)
@@ -285,7 +285,7 @@ TEST(Device, RetransMissForwardedToClient)
     rig.fromServer(net::makeRefPacket(rig.server->id(), rig.client->id(),
                                       PacketType::Retrans, 1, 9,
                                       0xBEEF));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.client->countType(PacketType::Retrans), 1u);
     EXPECT_EQ(rig.stat("retransForwarded"), 1u);
 }
@@ -295,14 +295,14 @@ TEST(Device, RecoveryPollReplaysAllLoggedForServer)
     DeviceRig rig;
     for (std::uint32_t seq = 1; seq <= 5; seq++)
         rig.fromClient(rig.update(seq));
-    rig.sim.run();
+    rig.engine.run();
     ASSERT_EQ(rig.dev->logStore().size(), 5u);
     std::size_t before = rig.server->countType(PacketType::UpdateReq);
 
     rig.fromServer(net::makeRefPacket(rig.server->id(), rig.dev->id(),
                                       PacketType::RecoveryPoll, 0, 0,
                                       0));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::UpdateReq), before + 5)
         << "every logged request replayed";
     EXPECT_EQ(rig.stat("recoveryResent"), 5u);
@@ -317,7 +317,7 @@ TEST(Device, RecoveryPollForOtherDeviceForwarded)
                                       rig.client->id(), // not this dev
                                       PacketType::RecoveryPoll, 0, 0,
                                       0));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.client->countType(PacketType::RecoveryPoll), 1u);
     EXPECT_EQ(rig.stat("recoveryPolls"), 0u);
 }
@@ -327,7 +327,7 @@ TEST(Device, NonPmnetTrafficForwarded)
     DeviceRig rig;
     rig.fromClient(net::makePlainPacket(rig.client->id(),
                                         rig.server->id(), Bytes(40)));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->got.size(), 1u);
     EXPECT_EQ(rig.stat("nonPmnetForwarded"), 1u);
 }
@@ -338,7 +338,7 @@ TEST(Device, PmnetAckFromAnotherDeviceForwarded)
     rig.fromServer(net::makeRefPacket(99, rig.client->id(),
                                       PacketType::PmnetAck, 1, 1,
                                       0xAB));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 1u);
 }
 
@@ -349,7 +349,7 @@ TEST(Device, LogSurvivesPowerFailure)
     DeviceRig rig;
     auto pkt = rig.update(1);
     rig.fromClient(pkt);
-    rig.sim.run();
+    rig.engine.run();
     ASSERT_EQ(rig.dev->logStore().size(), 1u);
 
     rig.dev->powerFail();
@@ -361,7 +361,7 @@ TEST(Device, LogSurvivesPowerFailure)
     rig.fromServer(net::makeRefPacket(rig.server->id(), rig.client->id(),
                                       PacketType::Retrans, 1, 1,
                                       pkt->pmnet->hashVal));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.stat("retransServed"), 1u);
 }
 
@@ -371,10 +371,10 @@ TEST(Device, InFlightLogWriteLostOnPowerFailure)
     rig.fromClient(rig.update(1));
     // Let the packet reach the device pipeline but cut power before
     // the PM write (273ns) completes. Pipeline = 500ns; wire ~420ns.
-    rig.sim.run(rig.sim.now() + nanoseconds(1000));
+    rig.engine.run(rig.engine.now() + nanoseconds(1000));
     rig.dev->powerFail();
     rig.dev->powerRestore();
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->logStore().size(), 0u)
         << "queued-but-unpersisted write lost";
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u)
@@ -386,11 +386,11 @@ TEST(Device, DownDeviceDropsTraffic)
     DeviceRig rig;
     rig.dev->powerFail();
     rig.fromClient(rig.update(1));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_TRUE(rig.server->got.empty());
     rig.dev->powerRestore();
     rig.fromClient(rig.update(2));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->got.size(), 1u);
 }
 
@@ -427,9 +427,9 @@ TEST(DeviceCache, LoggedSetServesSubsequentGet)
 {
     CacheRig rig;
     rig.fromClient(rig.setCmd(1, "k", "hello"));
-    rig.sim.run();
+    rig.engine.run();
     rig.fromClient(rig.getCmd(2, "k"));
-    rig.sim.run();
+    rig.engine.run();
 
     EXPECT_EQ(rig.server->countType(PacketType::BypassReq), 0u)
         << "GET answered by the switch, not forwarded";
@@ -448,7 +448,7 @@ TEST(DeviceCache, MissForwardsAndResponseFills)
 {
     CacheRig rig;
     rig.fromClient(rig.getCmd(1, "cold"));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::BypassReq), 1u);
 
     // Server answers; the response passing through fills the cache.
@@ -458,11 +458,11 @@ TEST(DeviceCache, MissForwardsAndResponseFills)
     resp->payload = apps::encodeGetResponse(apps::RespStatus::Ok,
                                             "cold", "value");
     rig.fromServer(resp);
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->cache().stateOf("cold"), CacheState::Persisted);
 
     rig.fromClient(rig.getCmd(2, "cold"));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.stat("cacheResponses"), 1u) << "now a hit";
 }
 
@@ -470,13 +470,13 @@ TEST(DeviceCache, TwoInFlightSetsMakeStaleAndGetGoesToServer)
 {
     CacheRig rig;
     rig.fromClient(rig.setCmd(1, "k", "v1"));
-    rig.sim.run();
+    rig.engine.run();
     rig.fromClient(rig.setCmd(2, "k", "v2"));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->cache().stateOf("k"), CacheState::Stale);
 
     rig.fromClient(rig.getCmd(3, "k"));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::BypassReq), 1u)
         << "stale entries must not serve";
 }
@@ -486,13 +486,13 @@ TEST(DeviceCache, ServerAckDrivesPendingToPersisted)
     CacheRig rig;
     auto set = rig.setCmd(1, "k", "v");
     rig.fromClient(set);
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->cache().stateOf("k"), CacheState::Pending);
 
     rig.fromServer(net::makeRefPacket(rig.server->id(), rig.client->id(),
                                       PacketType::ServerAck, 1, 1,
                                       set->pmnet->hashVal));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->cache().stateOf("k"), CacheState::Persisted);
 }
 
@@ -519,7 +519,7 @@ TEST(DeviceCache, UnloggedSetInvalidatesViaServerAck)
     };
     auto first = mk_set(1, "v1");
     rig.client->send(0, first);
-    rig.sim.run();
+    rig.engine.run();
     // Fill the only slot with a different key so "a"'s next SET
     // collides: craft an update with a different hash/slot? The slot
     // is already occupied by first; the second SET to "a" (new seq =>
@@ -527,7 +527,7 @@ TEST(DeviceCache, UnloggedSetInvalidatesViaServerAck)
     // every hash maps there.
     auto second = mk_set(2, "v2");
     rig.client->send(0, second);
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->cache().stateOf("a"), CacheState::Stale);
 
     // server-ACK for the unlogged second update (hash not in log):
@@ -535,7 +535,7 @@ TEST(DeviceCache, UnloggedSetInvalidatesViaServerAck)
                             rig.server->id(), rig.client->id(),
                             PacketType::ServerAck, 1, 2,
                             second->pmnet->hashVal));
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->cache().stateOf("a"), CacheState::Invalid)
         << "T6 via the unlogged-keys side table";
 }
@@ -544,7 +544,7 @@ TEST(DeviceCache, CacheClearedOnPowerFailure)
 {
     CacheRig rig;
     rig.fromClient(rig.setCmd(1, "k", "v"));
-    rig.sim.run();
+    rig.engine.run();
     rig.dev->powerFail();
     rig.dev->powerRestore();
     EXPECT_EQ(rig.dev->cache().stateOf("k"), CacheState::Invalid);
@@ -569,7 +569,7 @@ TEST(GroupCommit, OpsThresholdClosesAndAcksWholeBatch)
     DeviceRig rig(groupCommitConfig(4, microseconds(50)));
     for (std::uint32_t seq = 1; seq <= 4; seq++)
         rig.fromClient(rig.update(seq));
-    rig.sim.run();
+    rig.engine.run();
 
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 4u);
     EXPECT_EQ(rig.dev->logStore().size(), 4u);
@@ -587,7 +587,7 @@ TEST(GroupCommit, DoorbellClosesPartialEpoch)
     DeviceRig rig(groupCommitConfig(8, microseconds(5)));
     rig.fromClient(rig.update(1));
     rig.fromClient(rig.update(2));
-    rig.sim.run();
+    rig.engine.run();
 
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 2u);
     const auto &epoch = rig.dev->commitEpoch().stats();
@@ -603,12 +603,12 @@ TEST(GroupCommit, AcksHeldWhileEpochOpen)
     rig.fromClient(rig.update(2));
     // Both PM writes land well before the doorbell (50us): the log
     // holds the entries, but no ACK may leave until the batch fence.
-    rig.sim.run(rig.sim.now() + microseconds(10));
+    rig.engine.run(rig.engine.now() + microseconds(10));
     EXPECT_EQ(rig.dev->logStore().size(), 2u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
     EXPECT_TRUE(rig.dev->commitEpoch().open());
 
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 2u);
 }
 
@@ -617,7 +617,7 @@ TEST(GroupCommit, PowerFailureRollsBackStagedUnackedWrites)
     DeviceRig rig(groupCommitConfig(8, microseconds(50)));
     rig.fromClient(rig.update(1));
     rig.fromClient(rig.update(2));
-    rig.sim.run(rig.sim.now() + microseconds(10));
+    rig.engine.run(rig.engine.now() + microseconds(10));
     ASSERT_EQ(rig.dev->logStore().size(), 2u);
 
     // Crash inside the open epoch: the staged writes were never
@@ -625,7 +625,7 @@ TEST(GroupCommit, PowerFailureRollsBackStagedUnackedWrites)
     // (P1: acked implies durable, by construction).
     rig.dev->powerFail();
     rig.dev->powerRestore();
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->logStore().size(), 0u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
     EXPECT_EQ(rig.dev->commitEpoch().stats().opsAbandoned, 2u);
@@ -637,17 +637,17 @@ TEST(GroupCommit, DuplicateOfStagedEntryNotReAcked)
     DeviceRig rig(groupCommitConfig(8, microseconds(50)));
     auto pkt = rig.update(1);
     rig.fromClient(pkt);
-    rig.sim.run(rig.sim.now() + microseconds(10));
+    rig.engine.run(rig.engine.now() + microseconds(10));
     ASSERT_TRUE(rig.dev->commitEpoch().open());
 
     // A resend that races the open epoch must not be re-ACKed off the
     // duplicate path: the entry is not durable yet.
     rig.fromClient(pkt);
-    rig.sim.run(rig.sim.now() + microseconds(10));
+    rig.engine.run(rig.engine.now() + microseconds(10));
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
     EXPECT_EQ(rig.stat("updatesReAcked"), 0u);
 
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 1u)
         << "exactly one ACK, from the epoch close";
 }
@@ -663,7 +663,7 @@ TEST(GroupCommit, PowerFailureInFenceWindowRollsBack)
     DeviceRig rig(config);
     rig.fromClient(rig.update(1));
     rig.fromClient(rig.update(2));
-    rig.sim.run(rig.sim.now() + microseconds(10));
+    rig.engine.run(rig.engine.now() + microseconds(10));
     ASSERT_EQ(rig.dev->commitEpoch().stats().epochsClosed, 1u);
     ASSERT_EQ(rig.dev->logStore().size(), 2u);
     ASSERT_EQ(rig.client->countType(PacketType::PmnetAck), 0u)
@@ -671,7 +671,7 @@ TEST(GroupCommit, PowerFailureInFenceWindowRollsBack)
 
     rig.dev->powerFail();
     rig.dev->powerRestore();
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.dev->logStore().size(), 0u)
         << "the fence never retired: nothing was durable";
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
@@ -685,24 +685,24 @@ TEST(GroupCommit, DuplicateInFenceWindowWaitsForDeferredAck)
     auto pkt = rig.update(1);
     rig.fromClient(pkt);
     rig.fromClient(rig.update(2));
-    rig.sim.run(rig.sim.now() + microseconds(10));
+    rig.engine.run(rig.engine.now() + microseconds(10));
     ASSERT_EQ(rig.dev->commitEpoch().stats().epochsClosed, 1u);
 
     // A resend inside the [close, fence-retire) window must not be
     // re-ACKed immediately — the entry is not durable until the
     // fence retires; the deferred ACK answers it then.
     rig.fromClient(pkt);
-    rig.sim.run(rig.sim.now() + microseconds(10));
+    rig.engine.run(rig.engine.now() + microseconds(10));
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
     EXPECT_EQ(rig.stat("updatesReAcked"), 0u);
 
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 2u)
         << "one deferred ACK per op, none for the duplicate";
 
     // After retirement the entry is durable: duplicates re-ACK.
     rig.fromClient(pkt);
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.stat("updatesReAcked"), 1u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 3u);
 }
@@ -725,11 +725,11 @@ struct NearDataRig : CacheRig
     {
         auto set = setCmd(seq, key, value);
         fromClient(set);
-        sim.run();
+        engine.run();
         fromServer(net::makeRefPacket(server->id(), client->id(),
                                       PacketType::ServerAck, 1, seq,
                                       set->pmnet->hashVal));
-        sim.run();
+        engine.run();
         ASSERT_EQ(dev->cache().stateOf(key), CacheState::Persisted);
     }
 };
@@ -740,7 +740,7 @@ TEST(DeviceNearData, IncrServedFromCache)
     rig.persistKey(1, "ctr", "5");
 
     rig.fromClient(rig.nearCmd(2, {"INCR", "ctr"}));
-    rig.sim.run();
+    rig.engine.run();
 
     // The device computed 5+1, answered on the server's behalf, and
     // still forwarded the request (server stays authoritative) and
@@ -765,7 +765,7 @@ TEST(DeviceNearData, CasMismatchAnswersWithoutWriting)
     rig.persistKey(1, "k", "5");
 
     rig.fromClient(rig.nearCmd(2, {"CAS", "k", "9", "7"}));
-    rig.sim.run();
+    rig.engine.run();
 
     ASSERT_EQ(rig.client->countType(PacketType::Response), 1u);
     auto decoded = apps::decodeResponse(
@@ -782,13 +782,13 @@ TEST(DeviceNearData, UncomputableEntryInvalidatedNotServed)
     NearDataRig rig;
     // Two in-flight SETs leave the entry Stale: not serving-safe.
     rig.fromClient(rig.setCmd(1, "k", "v1"));
-    rig.sim.run();
+    rig.engine.run();
     rig.fromClient(rig.setCmd(2, "k", "v2"));
-    rig.sim.run();
+    rig.engine.run();
     ASSERT_EQ(rig.dev->cache().stateOf("k"), CacheState::Stale);
 
     rig.fromClient(rig.nearCmd(3, {"APPEND", "k", "x"}));
-    rig.sim.run();
+    rig.engine.run();
 
     // The device cannot compute the RMW; the request goes to the
     // server and whatever was cached is dropped so it can never serve
@@ -811,12 +811,12 @@ TEST(DeviceNearData, DuplicateNotReappliedOrReserved)
 
     auto incr = rig.nearCmd(2, {"INCR", "ctr"});
     rig.fromClient(incr);
-    rig.sim.run();
+    rig.engine.run();
     ASSERT_EQ(rig.stat("nearDataServed"), 1u);
     ASSERT_EQ(rig.client->countType(PacketType::Response), 1u);
 
     rig.fromClient(incr); // resend after a lost Response
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.stat("nearDataServed"), 1u)
         << "duplicate must not be computed or served again";
     EXPECT_EQ(rig.client->countType(PacketType::Response), 1u);
@@ -828,7 +828,7 @@ TEST(DeviceNearData, DuplicateNotReappliedOrReserved)
     // The cached value must still be the single application (6, not
     // 7): a GET served by the switch proves it was not re-applied.
     rig.fromClient(rig.getCmd(3, "ctr"));
-    rig.sim.run();
+    rig.engine.run();
     ASSERT_EQ(rig.stat("cacheResponses"), 1u);
     auto decoded = apps::decodeResponse(
         rig.client->lastOfType(PacketType::Response)->payload);
@@ -842,7 +842,7 @@ TEST(DeviceNearData, CorruptNearDataDropped)
     auto bad = std::make_shared<net::Packet>(*rig.nearCmd(1, {"INCR", "k"}));
     bad->pmnet->hashVal ^= 0xFF;
     rig.fromClient(bad);
-    rig.sim.run();
+    rig.engine.run();
     EXPECT_EQ(rig.server->countType(PacketType::NearDataReq), 0u);
     EXPECT_EQ(rig.client->countType(PacketType::PmnetAck), 0u);
     EXPECT_EQ(rig.stat("bypassBadHash"), 1u);

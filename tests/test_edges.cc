@@ -143,8 +143,8 @@ TEST(PmHeap, BytesInUseTracksAllocFree)
 
 TEST(LinkLoss, RandomLossRateApproximatelyHonored)
 {
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     auto &a = topo.addNode<stack::Host>("a", stack::StackProfile{});
     auto &b = topo.addNode<stack::Host>("b", stack::StackProfile{});
     net::LinkConfig config;
@@ -158,7 +158,7 @@ TEST(LinkLoss, RandomLossRateApproximatelyHonored)
     const int n = 2000;
     for (int i = 0; i < n; i++)
         a.send(0, net::makePlainPacket(a.id(), b.id(), Bytes(10)));
-    sim.run();
+    engine.run();
     EXPECT_NEAR(static_cast<double>(link.losses()) / n, 0.3, 0.04);
     EXPECT_EQ(got + static_cast<int>(link.losses()), n);
 }

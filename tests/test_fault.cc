@@ -293,7 +293,7 @@ TEST(HashmapShadowTest, ShadowInvalidatedAcrossCrash)
 
 FaultRunConfig
 planConfig(unsigned replication = 1, bool cache = true,
-           unsigned sim_threads = 0)
+           unsigned sim_threads = 1)
 {
     FaultRunConfig config;
     config.testbed.mode = testbed::SystemMode::PmnetSwitch;
@@ -396,7 +396,7 @@ TEST(FaultPlanTest, DeterministicReports)
 
 FaultRunConfig
 shardedPlanConfig(kv::KvKind kind = kv::KvKind::Hashmap,
-                  bool cache = false, unsigned sim_threads = 0)
+                  bool cache = false, unsigned sim_threads = 1)
 {
     FaultRunConfig config;
     config.testbed.mode = testbed::SystemMode::PmnetSwitch;

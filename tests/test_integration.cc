@@ -97,7 +97,7 @@ TEST(Integration, ServerStateConvergesUnderPmnet)
     pmnet.run(milliseconds(1), milliseconds(10));
     for (std::size_t c = 0; c < pmnet.clientCount(); c++)
         pmnet.driver(c).stop();
-    pmnet.simulator().run(pmnet.simulator().now() + milliseconds(5));
+    pmnet.runFor(milliseconds(5));
 
     for (std::size_t c = 0; c < pmnet.clientCount(); c++) {
         auto session = static_cast<std::uint16_t>(c + 1);
@@ -137,14 +137,13 @@ TEST(Integration, CacheReadYourWriteConsistency)
     config.cacheEnabled = true;
     config.clientCount = 1;
     Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
     auto &lib = bed.clientLib(0);
     lib.startSession();
 
     bool set_done = false;
     lib.sendUpdate(cmdBytes({"SET", "answer", "42"}),
                    [&]() { set_done = true; });
-    sim.run(sim.now() + microseconds(200));
+    bed.runFor(microseconds(200));
     ASSERT_TRUE(set_done);
 
     std::string got;
@@ -153,7 +152,7 @@ TEST(Integration, CacheReadYourWriteConsistency)
         ASSERT_TRUE(decoded.has_value());
         got = decoded->value;
     });
-    sim.run(sim.now() + milliseconds(1));
+    bed.runFor(milliseconds(1));
     EXPECT_EQ(got, "42") << "switch-served read sees the new value";
     EXPECT_GE(bed.metrics().value("device0.cacheResponses"), 1u);
 }
@@ -164,7 +163,6 @@ TEST(Integration, StaleCacheEntryFallsBackToServer)
     config.cacheEnabled = true;
     config.clientCount = 1;
     Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
     auto &lib = bed.clientLib(0);
     lib.startSession();
 
@@ -172,7 +170,7 @@ TEST(Integration, StaleCacheEntryFallsBackToServer)
     // must travel to the server and return the latest value.
     lib.sendUpdate(cmdBytes({"SET", "k", "v1"}), []() {});
     lib.sendUpdate(cmdBytes({"SET", "k", "v2"}), []() {});
-    sim.run(sim.now() + microseconds(30)); // both logged, none applied
+    bed.runFor(microseconds(30)); // both logged, none applied
 
     std::string got;
     lib.bypass(cmdBytes({"GET", "k"}), [&](const Bytes &resp) {
@@ -180,7 +178,7 @@ TEST(Integration, StaleCacheEntryFallsBackToServer)
         ASSERT_TRUE(decoded.has_value());
         got = decoded->value;
     });
-    sim.run(sim.now() + milliseconds(2));
+    bed.runFor(milliseconds(2));
     EXPECT_EQ(got, "v2") << "server returns the final value in order";
 }
 
@@ -219,7 +217,6 @@ TEST(Integration, RecoveryReplaysLoggedUpdatesAfterServerCrash)
     auto config = baseConfig(SystemMode::PmnetSwitch);
     config.clientCount = 1;
     Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
     auto &lib = bed.clientLib(0);
     lib.startSession();
 
@@ -231,7 +228,7 @@ TEST(Integration, RecoveryReplaysLoggedUpdatesAfterServerCrash)
     }
     // Run just long enough for PMNet-ACKs (~22us) but not for the
     // server to commit all three (serialized ~12us dispatches).
-    sim.run(sim.now() + microseconds(26));
+    bed.runFor(microseconds(26));
     ASSERT_EQ(acked, 3) << "client proceeded on in-network persistence";
     EXPECT_LT(bed.serverLib().appliedSeq(1), 3u)
         << "server must still be behind the acknowledgements";
@@ -240,10 +237,10 @@ TEST(Integration, RecoveryReplaysLoggedUpdatesAfterServerCrash)
     // Power-cut the server: volatile state (including the received
     // packets in its stack) is gone.
     bed.serverHost().powerFail();
-    sim.run(sim.now() + milliseconds(1));
+    bed.runFor(milliseconds(1));
     bed.serverHost().powerRestore(); // triggers RecoveryPoll
 
-    sim.run(sim.now() + milliseconds(20));
+    bed.runFor(milliseconds(20));
     EXPECT_EQ(bed.serverLib().appliedSeq(1), 3u)
         << "all acknowledged updates replayed in order";
 
@@ -256,7 +253,7 @@ TEST(Integration, RecoveryReplaysLoggedUpdatesAfterServerCrash)
                        ASSERT_TRUE(decoded.has_value());
                        got = decoded->value;
                    });
-        sim.run(sim.now() + milliseconds(1));
+        bed.runFor(milliseconds(1));
         EXPECT_EQ(got, "val" + std::to_string(i));
     }
     EXPECT_GE(bed.metrics().value("device0.recoveryResent"), 3u);
@@ -269,7 +266,6 @@ TEST(Integration, ReplayIsExactlyOnce)
     auto config = baseConfig(SystemMode::PmnetSwitch);
     config.clientCount = 1;
     Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
     auto &lib = bed.clientLib(0);
     lib.startSession();
 
@@ -280,11 +276,11 @@ TEST(Integration, ReplayIsExactlyOnce)
                        [&]() { acked++; });
 
     // Let some be applied and some only logged, then crash.
-    sim.run(sim.now() + microseconds(60));
+    bed.runFor(microseconds(60));
     bed.serverHost().powerFail();
-    sim.run(sim.now() + milliseconds(1));
+    bed.runFor(milliseconds(1));
     bed.serverHost().powerRestore();
-    sim.run(sim.now() + milliseconds(50));
+    bed.runFor(milliseconds(50));
 
     EXPECT_EQ(acked, kIncrs);
     EXPECT_EQ(bed.serverLib().appliedSeq(1),
@@ -296,7 +292,7 @@ TEST(Integration, ReplayIsExactlyOnce)
         ASSERT_TRUE(decoded.has_value());
         value = decoded->value;
     });
-    sim.run(sim.now() + milliseconds(1));
+    bed.runFor(milliseconds(1));
     EXPECT_EQ(value, std::to_string(kIncrs))
         << "replay must not double-apply non-idempotent updates";
 }
@@ -306,18 +302,17 @@ TEST(Integration, CrashUnderLoadLosesNoAcknowledgedUpdate)
     auto config = baseConfig(SystemMode::PmnetSwitch);
     config.clientCount = 4;
     Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
 
     bed.startDrivers();
-    sim.run(sim.now() + milliseconds(5));
+    bed.runFor(milliseconds(5));
     bed.serverHost().powerFail();
-    sim.run(sim.now() + milliseconds(2));
+    bed.runFor(milliseconds(2));
     bed.serverHost().powerRestore();
     // Drain: recovery replay + client retries complete.
-    sim.run(sim.now() + milliseconds(40));
+    bed.runFor(milliseconds(40));
     for (std::size_t c = 0; c < bed.clientCount(); c++)
         bed.driver(c).stop();
-    sim.run(sim.now() + milliseconds(40));
+    bed.runFor(milliseconds(40));
 
     for (std::size_t c = 0; c < bed.clientCount(); c++) {
         auto session = static_cast<std::uint16_t>(c + 1);
@@ -332,17 +327,16 @@ TEST(Integration, DeviceOutageDegradesToRetriesNotLoss)
     auto config = baseConfig(SystemMode::PmnetSwitch);
     config.clientCount = 2;
     Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
 
     bed.startDrivers();
-    sim.run(sim.now() + milliseconds(3));
+    bed.runFor(milliseconds(3));
     bed.device(0).powerFail();
-    sim.run(sim.now() + milliseconds(2)); // timeouts accumulate
+    bed.runFor(milliseconds(2)); // timeouts accumulate
     bed.device(0).powerRestore();
-    sim.run(sim.now() + milliseconds(20));
+    bed.runFor(milliseconds(20));
     for (std::size_t c = 0; c < bed.clientCount(); c++)
         bed.driver(c).stop();
-    sim.run(sim.now() + milliseconds(20));
+    bed.runFor(milliseconds(20));
 
     EXPECT_GT(bed.metrics().value("client0.timeouts"), 0u)
         << "outage visible as timeouts";
@@ -362,7 +356,6 @@ TEST(Integration, PermanentDeviceLossCoveredByReplication)
     config.clientCount = 1;
     config.replicationDegree = 3;
     Testbed bed(std::move(config));
-    auto &sim = bed.simulator();
     auto &lib = bed.clientLib(0);
     lib.startSession();
 
@@ -370,15 +363,15 @@ TEST(Integration, PermanentDeviceLossCoveredByReplication)
     for (int i = 0; i < 4; i++)
         lib.sendUpdate(cmdBytes({"SET", "p" + std::to_string(i), "v"}),
                        [&]() { acked++; });
-    sim.run(sim.now() + microseconds(60));
+    bed.runFor(microseconds(60));
     ASSERT_EQ(acked, 4);
 
     bed.device(1).replaceUnit(); // blank replacement hardware
     EXPECT_EQ(bed.device(1).logStore().size(), 0u);
     bed.serverHost().powerFail();
-    sim.run(sim.now() + milliseconds(1));
+    bed.runFor(milliseconds(1));
     bed.serverHost().powerRestore();
-    sim.run(sim.now() + milliseconds(30));
+    bed.runFor(milliseconds(30));
 
     EXPECT_EQ(bed.serverLib().appliedSeq(1), 4u)
         << "survivors must cover the lost replica";

@@ -500,8 +500,8 @@ TEST(Link, CorruptNextDeliversDamagedCopy)
 
 TEST(Switch, ForwardsByRoute)
 {
-    sim::Simulator sim;
-    Topology topo(sim);
+    sim::Engine engine;
+    Topology topo(engine);
     auto &host_a = topo.addNode<SinkNode>("ha");
     auto &host_b = topo.addNode<SinkNode>("hb");
     auto &sw = topo.addNode<BasicSwitch>("sw");
@@ -510,29 +510,29 @@ TEST(Switch, ForwardsByRoute)
     topo.computeRoutes();
 
     host_a.send(0, makePlainPacket(host_a.id(), host_b.id(), Bytes(10)));
-    sim.run();
+    engine.run();
     ASSERT_EQ(host_b.got.size(), 1u);
     EXPECT_EQ(sw.packetsForwarded(), 1u);
 }
 
 TEST(Switch, UnroutableDropsAndCounts)
 {
-    sim::Simulator sim;
-    Topology topo(sim);
+    sim::Engine engine;
+    Topology topo(engine);
     auto &host_a = topo.addNode<SinkNode>("ha");
     auto &sw = topo.addNode<BasicSwitch>("sw");
     topo.connect(host_a, sw);
     topo.computeRoutes();
 
     host_a.send(0, makePlainPacket(host_a.id(), 99, Bytes(10)));
-    sim.run();
+    engine.run();
     EXPECT_EQ(sw.unroutable(), 1u);
 }
 
 TEST(Topology, MultiHopRoutes)
 {
-    sim::Simulator sim;
-    Topology topo(sim);
+    sim::Engine engine;
+    Topology topo(engine);
     auto &host_a = topo.addNode<SinkNode>("ha");
     auto &sw1 = topo.addNode<BasicSwitch>("sw1");
     auto &sw2 = topo.addNode<BasicSwitch>("sw2");
@@ -543,7 +543,7 @@ TEST(Topology, MultiHopRoutes)
     topo.computeRoutes();
 
     host_a.send(0, makePlainPacket(host_a.id(), host_b.id(), Bytes(10)));
-    sim.run();
+    engine.run();
     ASSERT_EQ(host_b.got.size(), 1u);
     EXPECT_EQ(sw1.packetsForwarded(), 1u);
     EXPECT_EQ(sw2.packetsForwarded(), 1u);
@@ -551,8 +551,8 @@ TEST(Topology, MultiHopRoutes)
 
 TEST(Topology, RoutesBothDirections)
 {
-    sim::Simulator sim;
-    Topology topo(sim);
+    sim::Engine engine;
+    Topology topo(engine);
     auto &host_a = topo.addNode<SinkNode>("ha");
     auto &sw = topo.addNode<BasicSwitch>("sw");
     auto &host_b = topo.addNode<SinkNode>("hb");
@@ -562,15 +562,15 @@ TEST(Topology, RoutesBothDirections)
 
     host_a.send(0, makePlainPacket(host_a.id(), host_b.id(), Bytes(1)));
     host_b.send(0, makePlainPacket(host_b.id(), host_a.id(), Bytes(1)));
-    sim.run();
+    engine.run();
     EXPECT_EQ(host_a.got.size(), 1u);
     EXPECT_EQ(host_b.got.size(), 1u);
 }
 
 TEST(Topology, NodeLookup)
 {
-    sim::Simulator sim;
-    Topology topo(sim);
+    sim::Engine engine;
+    Topology topo(engine);
     auto &host_a = topo.addNode<SinkNode>("ha");
     EXPECT_EQ(&topo.node(host_a.id()), &host_a);
     EXPECT_EQ(topo.nodeCount(), 1u);
@@ -604,8 +604,7 @@ fireUpdates(testbed::Testbed &bed, int count)
             apps::Command{{"SET", "k" + std::to_string(i), "v"}});
         lib.sendUpdate(cmd, []() {});
     }
-    auto &sim = bed.simulator();
-    sim.run(sim.now() + microseconds(300));
+    bed.runFor(microseconds(300));
 }
 
 } // namespace corrupt_rig

@@ -2,11 +2,12 @@
  * @file
  * End-to-end determinism tests for the partitioned engine
  * (DESIGN.md section 12): the same seeded testbed run must serialize
- * to byte-identical results whether it executes on the historical
- * single simulator (simThreads = 0), on the engine with one worker,
- * or on the engine with more workers than the host has cores. The
- * fault-injection layer gets the same treatment: a scripted plan's
- * invariant report must not depend on the thread count.
+ * to byte-identical results at every worker count. Node i lives on
+ * partition i mod workers, so 1, 2, 3 and 4 workers give four
+ * different partition layouts (at 3 the partitions do not divide the
+ * node count), and 4 is more workers than the host may have cores.
+ * The fault-injection layer gets the same treatment: a scripted
+ * plan's invariant report must not depend on the thread count.
  *
  * These tests carry the `parallel` CTest label and run under the
  * sanitize-tsan preset in CI alongside the recovery suite.
@@ -17,7 +18,7 @@
 #include <string>
 
 #include "fault/fault_plan.h"
-#include "sim/parallel.h"
+#include "net/topology.h"
 #include "testbed/system.h"
 
 namespace pmnet {
@@ -55,22 +56,25 @@ runSerialized(testbed::SystemMode mode, unsigned threads)
     return results.toJson().dump();
 }
 
+/** Worker counts every determinism test compares against 1. */
+constexpr unsigned kWorkerCounts[] = {2, 3, 4};
+
 TEST(ParallelTestbed, PmnetSwitchResultsByteIdenticalAcrossThreads)
 {
-    std::string legacy =
-        runSerialized(testbed::SystemMode::PmnetSwitch, 0);
-    EXPECT_EQ(runSerialized(testbed::SystemMode::PmnetSwitch, 1), legacy)
-        << "engine@1 worker diverged from the single simulator";
-    EXPECT_EQ(runSerialized(testbed::SystemMode::PmnetSwitch, 4), legacy)
-        << "engine@4 workers diverged from the single simulator";
+    std::string one = runSerialized(testbed::SystemMode::PmnetSwitch, 1);
+    for (unsigned threads : kWorkerCounts)
+        EXPECT_EQ(runSerialized(testbed::SystemMode::PmnetSwitch, threads),
+                  one)
+            << "engine@" << threads << " workers diverged from 1 worker";
 }
 
 TEST(ParallelTestbed, ClientServerResultsByteIdenticalAcrossThreads)
 {
-    std::string legacy =
-        runSerialized(testbed::SystemMode::ClientServer, 0);
-    EXPECT_EQ(runSerialized(testbed::SystemMode::ClientServer, 4),
-              legacy);
+    std::string one = runSerialized(testbed::SystemMode::ClientServer, 1);
+    for (unsigned threads : kWorkerCounts)
+        EXPECT_EQ(runSerialized(testbed::SystemMode::ClientServer, threads),
+                  one)
+            << "engine@" << threads << " workers diverged from 1 worker";
 }
 
 TEST(ParallelTestbed, ReplicationChainByteIdenticalAcrossThreads)
@@ -83,19 +87,61 @@ TEST(ParallelTestbed, ReplicationChainByteIdenticalAcrossThreads)
         testbed::Testbed bed(std::move(config));
         return bed.run(milliseconds(2), milliseconds(8)).toJson().dump();
     };
-    std::string legacy = run(0);
-    EXPECT_EQ(run(4), legacy);
+    std::string one = run(1);
+    for (unsigned threads : kWorkerCounts)
+        EXPECT_EQ(run(threads), one)
+            << "engine@" << threads << " workers diverged from 1 worker";
 }
 
-TEST(ParallelTestbed, EngineModeReportsEngineMetrics)
+TEST(ParallelTestbed, ReportsOnePartitionPerWorker)
 {
-    auto config = baseConfig(testbed::SystemMode::PmnetSwitch, 4);
-    testbed::Testbed bed(std::move(config));
-    bed.run(milliseconds(1), milliseconds(2));
-    ASSERT_NE(bed.engine(), nullptr);
-    EXPECT_EQ(bed.engine()->workers(), 4u);
-    EXPECT_GT(bed.engine()->windows(), 0u);
-    EXPECT_GT(bed.engine()->eventsExecuted(), 0u);
+    for (unsigned threads : {1u, 4u}) {
+        testbed::Testbed bed(
+            baseConfig(testbed::SystemMode::PmnetSwitch, threads));
+        bed.run(milliseconds(1), milliseconds(2));
+        obs::Json metrics = bed.metrics().toJson();
+        const obs::Json *engine = metrics.find("engine");
+        ASSERT_NE(engine, nullptr);
+        auto probe = [&](const char *name) {
+            const obs::Json *value = engine->find(name);
+            return value != nullptr ? value->dump() : std::string();
+        };
+        const sim::Engine &eng = *bed.engine();
+        EXPECT_EQ(probe("workers"), std::to_string(threads));
+        EXPECT_EQ(probe("partitions"), std::to_string(threads));
+        EXPECT_EQ(probe("windows"), std::to_string(eng.windows()));
+        EXPECT_EQ(probe("events"), std::to_string(eng.eventsExecuted()));
+        EXPECT_GT(eng.windows(), 0u);
+        EXPECT_GT(eng.eventsExecuted(), 0u);
+    }
+}
+
+TEST(ParallelTopology, NodesShareOnePartitionPerWorker)
+{
+    sim::Engine engine(3);
+    net::Topology topo(engine);
+    std::vector<net::BasicSwitch *> nodes;
+    for (int i = 0; i < 8; i++)
+        nodes.push_back(
+            &topo.addNode<net::BasicSwitch>("n" + std::to_string(i)));
+    ASSERT_EQ(engine.partitionCount(), 3u);
+    for (std::size_t i = 0; i < nodes.size(); i++)
+        EXPECT_EQ(&nodes[i]->simulator(), &engine.partition(i % 3));
+
+    // Neighbours in the chain never share a partition at 3 workers,
+    // so every chain link is a channel pair bounding the lookahead.
+    for (int i = 0; i + 1 < 8; i++) {
+        net::LinkConfig config;
+        config.propagation = nanoseconds(500 - 20 * i);
+        topo.connect(*nodes[i], *nodes[i + 1], config);
+    }
+    // Nodes 0 and 3 share partition 0: a zero-latency link between
+    // them would be refused as a channel, so it builds only because
+    // it gets none, and it leaves the lookahead alone.
+    net::LinkConfig local;
+    local.propagation = 0;
+    topo.connect(*nodes[0], *nodes[3], local);
+    EXPECT_EQ(engine.lookahead(), nanoseconds(500 - 20 * 6));
 }
 
 // ----------------------------------------------- fault plans @ threads
@@ -137,13 +183,13 @@ TEST(ParallelFault, ScriptedPlanReportIdenticalAcrossThreads)
 {
     FaultPlan plan = scriptedPlan();
 
-    FaultRunner legacy(faultConfig(0));
-    const InvariantReport &a = legacy.run(plan);
+    FaultRunner one(faultConfig(1));
+    const InvariantReport &a = one.run(plan);
     ASSERT_TRUE(a.clean()) << a.text();
 
     // A clean plan reports only counters, whose merged totals are
     // thread-count independent — so the full report text must match.
-    for (unsigned threads : {1u, 4u}) {
+    for (unsigned threads : kWorkerCounts) {
         FaultRunner engine(faultConfig(threads));
         const InvariantReport &b = engine.run(plan);
         EXPECT_TRUE(b.clean()) << b.text();

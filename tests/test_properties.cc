@@ -115,8 +115,8 @@ TEST_P(LossSweep, AllRequestsCompleteExactlyOnceInOrder)
 {
     double loss = GetParam() / 100.0;
 
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     auto &client = topo.addNode<stack::Host>(
         "client", stack::StackProfile::kernelClient());
     auto &tor = topo.addNode<net::BasicSwitch>("tor");
@@ -159,7 +159,7 @@ TEST_P(LossSweep, AllRequestsCompleteExactlyOnceInOrder)
                               });
     };
     send(0);
-    sim.run(seconds(2.0)); // plenty of retries even at 20% loss
+    engine.run(seconds(2.0)); // plenty of retries even at 20% loss
 
     ASSERT_EQ(done, kRequests) << "loss " << GetParam() << "%";
     ASSERT_EQ(applied.size(), static_cast<std::size_t>(kRequests))

@@ -25,8 +25,8 @@ using net::PacketType;
 
 struct MiniSystem
 {
-    sim::Simulator sim;
-    net::Topology topo{sim};
+    sim::Engine engine;
+    net::Topology topo{engine};
     Host *client = nullptr;
     net::BasicSwitch *tor = nullptr;
     Host *server = nullptr;
@@ -98,8 +98,8 @@ struct MiniSystem
 
 TEST(Host, RxDelayAppliesStackCost)
 {
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     StackProfile profile;
     profile.rxBase = microseconds(5);
     profile.rxPerByte = 10.0;
@@ -108,17 +108,17 @@ TEST(Host, RxDelayAppliesStackCost)
     topo.connect(a, b, net::LinkConfig{10.0, 0, 1 << 20});
 
     Tick delivered = -1;
-    b.setAppReceive([&](PacketPtr) { delivered = sim.now(); });
+    b.setAppReceive([&](PacketPtr) { delivered = engine.now(); });
     a.send(0, net::makePlainPacket(a.id(), b.id(), Bytes(100)));
-    sim.run();
+    engine.run();
     // wire: 146B at 10G = 116ns; rx: 5000 + 1000ns.
     EXPECT_EQ(delivered, 116 + 5000 + 1000);
 }
 
 TEST(Host, TxStaggersFragments)
 {
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     StackProfile tx_profile;
     tx_profile.txBase = microseconds(2);
     tx_profile.txPerPacket = microseconds(1);
@@ -131,10 +131,10 @@ TEST(Host, TxStaggersFragments)
     topo.connect(a, b, net::LinkConfig{10.0, 0, 1 << 20});
 
     std::vector<Tick> arrivals;
-    b.setAppReceive([&](PacketPtr) { arrivals.push_back(sim.now()); });
+    b.setAppReceive([&](PacketPtr) { arrivals.push_back(engine.now()); });
     PacketPtr pkt = net::makePlainPacket(a.id(), b.id(), Bytes(0));
     a.appSend({pkt, pkt, pkt});
-    sim.run();
+    engine.run();
     ASSERT_EQ(arrivals.size(), 3u);
     EXPECT_GT(arrivals[1], arrivals[0]);
     EXPECT_GT(arrivals[2], arrivals[1]);
@@ -142,8 +142,8 @@ TEST(Host, TxStaggersFragments)
 
 TEST(Host, DownHostDropsAndRecovers)
 {
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     auto &a = topo.addNode<Host>("a", StackProfile{});
     auto &b = topo.addNode<Host>("b", StackProfile{});
     topo.connect(a, b);
@@ -155,14 +155,14 @@ TEST(Host, DownHostDropsAndRecovers)
 
     b.powerFail();
     a.send(0, net::makePlainPacket(a.id(), b.id(), Bytes(1)));
-    sim.run();
+    engine.run();
     EXPECT_EQ(got, 0);
     EXPECT_TRUE(failed_hook);
 
     b.powerRestore();
     EXPECT_TRUE(restored_hook);
     a.send(0, net::makePlainPacket(a.id(), b.id(), Bytes(1)));
-    sim.run();
+    engine.run();
     EXPECT_EQ(got, 1);
 }
 
@@ -175,7 +175,7 @@ TEST(ClientServer, UpdateCompletesViaServerAck)
     sys.clientLib->sendUpdate(sys.payload("hello"), [&]() {
         done = true;
     });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_TRUE(done);
     ASSERT_EQ(sys.applied.size(), 1u);
     EXPECT_EQ(sys.applied[0].second, "hello");
@@ -191,7 +191,7 @@ TEST(ClientServer, BypassGetsResponse)
     sys.clientLib->bypass(sys.payload("read"), [&](const Bytes &resp) {
         response = std::string(resp.begin(), resp.end());
     });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_EQ(response, "ok");
     EXPECT_EQ(sys.serverStat("bypassApplied"), 1u);
 }
@@ -210,7 +210,7 @@ TEST(ClientServer, SequentialRequestsApplyInOrder)
                                   });
     };
     send(0);
-    sys.sim.run();
+    sys.engine.run();
     ASSERT_EQ(sys.applied.size(), 5u);
     for (int i = 0; i < 5; i++)
         EXPECT_EQ(sys.applied[static_cast<std::size_t>(i)].second,
@@ -224,7 +224,7 @@ TEST(ClientServer, PipelinedRequestsApplyInSeqOrder)
     for (int i = 0; i < 8; i++)
         sys.clientLib->sendUpdate(sys.payload("p" + std::to_string(i)),
                                   []() {});
-    sys.sim.run();
+    sys.engine.run();
     ASSERT_EQ(sys.applied.size(), 8u);
     for (int i = 0; i < 8; i++)
         EXPECT_EQ(sys.applied[static_cast<std::size_t>(i)].second,
@@ -243,7 +243,7 @@ TEST(ClientServer, CorruptedUpdateDroppedThenRetried)
     bool done = false;
     sys.clientLib->sendUpdate(sys.payload("precious"),
                               [&]() { done = true; });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(sys.serverStat("hashRejected"), 1u);
     EXPECT_GE(sys.clientStat("timeouts"), 1u);
@@ -275,7 +275,7 @@ TEST(NearData, CompletesWithResponseAndAck)
                                     response = std::string(resp.begin(),
                                                            resp.end());
                                 });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_EQ(response, "42");
     EXPECT_EQ(sys.clientStat("nearDataCompleted"), 1u);
     EXPECT_EQ(sys.serverStat("nearDataApplied"), 1u);
@@ -304,7 +304,7 @@ TEST(NearData, SharesUpdateSequenceSpace)
     sys.clientLib->sendUpdate(sys.payload("u1"), []() {});
     sys.clientLib->sendNearData(sys.payload("n2"), [](const Bytes &) {});
     sys.clientLib->sendUpdate(sys.payload("u3"), []() {});
-    sys.sim.run();
+    sys.engine.run();
     ASSERT_EQ(sys.applied.size(), 3u);
     EXPECT_EQ(sys.applied[0].second, "u1");
     EXPECT_EQ(sys.applied[1].second, "n2");
@@ -334,7 +334,7 @@ TEST(NearData, DuplicateReplaysResponse)
                                     response = std::string(resp.begin(),
                                                            resp.end());
                                 });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_EQ(response, "42");
     EXPECT_EQ(sys.serverStat("nearDataApplied"), 1u);
     EXPECT_EQ(sys.serverStat("makeupAcks"), 1u);
@@ -355,7 +355,7 @@ TEST(Fragmentation, LargeUpdateSplitsAndReassembles)
         big[i] = static_cast<char>('a' + (i % 26));
     bool done = false;
     sys.clientLib->sendUpdate(sys.payload(big), [&]() { done = true; });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_TRUE(done);
     ASSERT_EQ(sys.applied.size(), 1u);
     EXPECT_EQ(sys.applied[0].second, big) << "reassembly must be exact";
@@ -387,7 +387,7 @@ TEST(Loss, LostUpdateRecoveredByClientTimeout)
     bool done = false;
     sys.clientLib->sendUpdate(sys.payload("lost-once"),
                               [&]() { done = true; });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_TRUE(done);
     ASSERT_EQ(sys.applied.size(), 1u);
     EXPECT_GE(sys.clientStat("timeouts"), 1u);
@@ -408,7 +408,7 @@ TEST(Loss, GapTriggersServerRetransRequest)
     int done = 0;
     sys.clientLib->sendUpdate(sys.payload("first"), [&]() { done++; });
     sys.clientLib->sendUpdate(sys.payload("second"), [&]() { done++; });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_EQ(done, 2);
     ASSERT_EQ(sys.applied.size(), 2u);
     EXPECT_EQ(sys.applied[0].second, "first") << "order preserved";
@@ -432,7 +432,7 @@ TEST(Loss, LostServerAckTriggersMakeupAck)
     bool done = false;
     sys.clientLib->sendUpdate(sys.payload("acked-twice"),
                               [&]() { done = true; });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(sys.applied.size(), 1u) << "exactly-once application";
     EXPECT_GE(sys.serverStat("makeupAcks"), 1u);
@@ -451,7 +451,7 @@ TEST(Loss, DuplicateBypassReplaysCachedReply)
     sys.clientLib->bypass(sys.payload("q"), [&](const Bytes &resp) {
         response = std::string(resp.begin(), resp.end());
     });
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_EQ(response, "ok");
     EXPECT_EQ(sys.serverStat("bypassApplied"), 1u)
         << "bypass applied once despite resend";
@@ -480,7 +480,7 @@ TEST(Loss, RandomLossEventuallyAllApplied)
                                   });
     };
     send(0);
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_EQ(done, 30);
     ASSERT_EQ(sys.applied.size(), 30u);
     for (int i = 0; i < 30; i++)
@@ -495,8 +495,8 @@ TEST(Reorder, DirectInjectionReordersViaSeqNum)
     // Drive the server host directly with out-of-order packets
     // (Fig 7a): the library must deliver them to the app in SeqNum
     // order.
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     auto &server = topo.addNode<Host>("server", StackProfile{});
     auto &peer = topo.addNode<Host>("peer", StackProfile{});
     topo.connect(server, peer);
@@ -518,14 +518,14 @@ TEST(Reorder, DirectInjectionReordersViaSeqNum)
     server.receive(mk(2, "two"), 0);
     server.receive(mk(3, "three"), 0);
     server.receive(mk(1, "one"), 0);
-    sim.run();
+    engine.run();
     EXPECT_EQ(order, (std::vector<std::string>{"one", "two", "three"}));
 }
 
 TEST(Reorder, DuplicateWhileQueuedIsDroppedSilently)
 {
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     auto &server = topo.addNode<Host>("server", StackProfile{});
     auto &peer = topo.addNode<Host>("peer", StackProfile{});
     topo.connect(server, peer);
@@ -546,7 +546,7 @@ TEST(Reorder, DuplicateWhileQueuedIsDroppedSilently)
                                     Bytes{1});
     server.receive(pkt, 0);
     server.receive(pkt, 0); // duplicate before processing finishes
-    sim.run();
+    engine.run();
     EXPECT_EQ(applied, 1);
     obs::MetricRegistry reg;
     lib.registerMetrics(reg, "server");
@@ -557,8 +557,8 @@ TEST(Reorder, DuplicateWhileQueuedIsDroppedSilently)
 
 TEST(Workers, CrossSessionParallelSingleSessionSerial)
 {
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     auto &server = topo.addNode<Host>("server", StackProfile{});
     auto &peer = topo.addNode<Host>("peer", StackProfile{});
     topo.connect(server, peer);
@@ -581,28 +581,28 @@ TEST(Workers, CrossSessionParallelSingleSessionSerial)
                                             Bytes{1}),
                        0);
     }
-    sim.run();
+    engine.run();
     obs::MetricRegistry reg;
     lib.registerMetrics(reg, "server");
     EXPECT_EQ(reg.value("server.updatesApplied"), 4u);
 
     // 3 requests on one session: serialized by the session.
-    Tick t0 = sim.now();
+    Tick t0 = engine.now();
     for (std::uint32_t q = 1; q <= 3; q++) {
         server.receive(net::makePmnetPacket(peer.id(), server.id(),
                                             PacketType::UpdateReq, 9, q,
                                             Bytes{1}),
                        0);
     }
-    sim.run();
+    engine.run();
     // 3 serialized dispatches of 10us each (plus persist costs).
-    EXPECT_GE(sim.now() - t0, microseconds(30));
+    EXPECT_GE(engine.now() - t0, microseconds(30));
 }
 
 TEST(Workers, BacklogDrains)
 {
-    sim::Simulator sim;
-    net::Topology topo(sim);
+    sim::Engine engine;
+    net::Topology topo(engine);
     auto &server = topo.addNode<Host>("server", StackProfile{});
     auto &peer = topo.addNode<Host>("peer", StackProfile{});
     topo.connect(server, peer);
@@ -623,9 +623,9 @@ TEST(Workers, BacklogDrains)
     }
     // After the RX stack delivers them, one is in service and the
     // rest queue behind the single worker.
-    sim.run(microseconds(12));
+    engine.run(microseconds(12));
     EXPECT_GT(lib.backlog(), 0u);
-    sim.run();
+    engine.run();
     EXPECT_EQ(lib.backlog(), 0u);
     obs::MetricRegistry reg;
     lib.registerMetrics(reg, "server");
@@ -667,13 +667,13 @@ TEST(ClientServer, UpdateResponseCannotCompleteBypassWithSameSeq)
     sys.clientLib->sendUpdate(sys.payload("quick-update"),
                               [&]() { update_done = true; });
 
-    sys.sim.run(sys.sim.now() + microseconds(400));
+    sys.engine.run(sys.engine.now() + microseconds(400));
     EXPECT_TRUE(update_done);
     EXPECT_TRUE(bypass_response.empty())
         << "the update's response must not leak into the bypass";
 
     // The client's retry recovers the real answer (reply cache).
-    sys.sim.run(sys.sim.now() + milliseconds(3));
+    sys.engine.run(sys.engine.now() + milliseconds(3));
     EXPECT_EQ(bypass_response, "rd") << "the real answer arrives later";
 }
 
@@ -688,9 +688,9 @@ TEST(ServerSideLogging, AcksBeforeProcessing)
 
     Tick done_at = -1;
     sys.clientLib->sendUpdate(sys.payload("fast-ack"), [&]() {
-        done_at = sys.sim.now();
+        done_at = sys.engine.now();
     });
-    sys.sim.run();
+    sys.engine.run();
     ASSERT_GE(done_at, 0);
     // The ACK must have left before the 100us dispatch completed:
     // client completion well below dispatch + full RTT.
@@ -705,7 +705,7 @@ TEST(SessionTable, AppliedSeqPersists)
     MiniSystem sys;
     for (int i = 0; i < 3; i++)
         sys.clientLib->sendUpdate(sys.payload("x"), []() {});
-    sys.sim.run();
+    sys.engine.run();
     EXPECT_EQ(sys.serverLib->appliedSeq(1), 3u);
 
     sys.heap.crash();

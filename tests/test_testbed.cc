@@ -287,11 +287,10 @@ TEST(Driver, StopHaltsNewWork)
 {
     Testbed bed(tinyConfig(SystemMode::PmnetSwitch));
     bed.startDrivers();
-    auto &sim = bed.simulator();
-    sim.run(sim.now() + milliseconds(2));
+    bed.runFor(milliseconds(2));
     bed.driver(0).stop();
     std::uint64_t at_stop = bed.driver(0).completedRequests();
-    sim.run(sim.now() + milliseconds(5));
+    bed.runFor(milliseconds(5));
     EXPECT_LE(bed.driver(0).completedRequests(), at_stop + 2)
         << "at most the in-flight request finishes after stop";
 }

@@ -182,8 +182,8 @@ class ProbeNode : public net::Node
 
 struct Rig
 {
-    sim::Simulator sim;
-    net::Topology topo{sim};
+    sim::Engine engine;
+    net::Topology topo{engine};
     obs::MetricRegistry metrics;
     ProbeNode *client = nullptr;
     pmnetdev::PmnetDevice *dev = nullptr;
@@ -236,7 +236,7 @@ struct Rig
                             server->id(), dev->id(),
                             net::PacketType::ResilverPush, 1, seq,
                             std::move(payload)));
-        sim.run();
+        engine.run();
     }
 };
 

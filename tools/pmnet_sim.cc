@@ -53,7 +53,7 @@ struct Options
     double measureMs = 30;
     double failServerAtMs = -1;
     double outageMs = 1;
-    unsigned threads = 0;
+    unsigned threads = 1;
     std::string scenario;
     cli::CommonOptions common;
 };
@@ -142,8 +142,8 @@ parseArgs(int argc, char **argv)
     parser.optionDouble("--outage-ms", "T",
                         "outage duration (default 1)", &opts.outageMs);
     parser.optionUnsigned("--threads", "N",
-                          "simulation worker threads (0 = single "
-                          "simulator; >=1 partitions per node)",
+                          "simulation worker threads, one engine "
+                          "partition each (default 1)",
                           &opts.threads);
     parser.optionString("--scenario", "S",
                         "run an adversarial link-condition scenario "
@@ -416,8 +416,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(opts.common.seed));
 
     if (opts.failServerAtMs >= 0) {
-        // Injected on the server's own partition (the shared simulator
-        // when --threads is 0).
+        // Injected on the server's own partition.
         sim::Simulator &ssim = bed.serverHost().simulator();
         ssim.schedule(milliseconds(opts.failServerAtMs), [&]() {
             sim::Simulator &ssim = bed.serverHost().simulator();
