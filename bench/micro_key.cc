@@ -7,9 +7,8 @@
  *
  * The workload parameters are the cache/kv shapes the figures run:
  * bounded caches under churn, hashmap buckets dense enough that
- * chains actually walk. The `_New` row names are kept so the rows
- * stay comparable with BENCH_baseline.json; the speedups over the
- * pre-fast-path implementations are recorded in EXPERIMENTS.md.
+ * chains actually walk. The speedups over the pre-fast-path
+ * implementations are recorded in EXPERIMENTS.md.
  */
 
 #include <benchmark/benchmark.h>
@@ -62,7 +61,7 @@ const Bytes kValue(32, 0x5A);
 // Read-cache: lookup (hit + LRU touch) path.
 
 void
-BM_CacheLookupHit_New(benchmark::State &state)
+BM_CacheLookupHit(benchmark::State &state)
 {
     auto keys = makeKeys(kCacheKeys, true);
     pmnetdev::ReadCache cache(kCacheCapacity);
@@ -79,13 +78,13 @@ BM_CacheLookupHit_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheLookupHit_New);
+BENCHMARK(BM_CacheLookupHit);
 
 // ------------------------------------------------------------------
 // Read-cache: update + server-ACK (T3 -> T2) touch cycle.
 
 void
-BM_CacheUpdateAck_New(benchmark::State &state)
+BM_CacheUpdateAck(benchmark::State &state)
 {
     auto keys = makeKeys(kCacheKeys, true);
     pmnetdev::ReadCache cache(kCacheCapacity);
@@ -98,13 +97,13 @@ BM_CacheUpdateAck_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheUpdateAck_New);
+BENCHMARK(BM_CacheUpdateAck);
 
 // ------------------------------------------------------------------
 // Read-cache: eviction churn (keyspace >> capacity).
 
 void
-BM_CacheChurn_New(benchmark::State &state)
+BM_CacheChurn(benchmark::State &state)
 {
     auto keys = makeKeys(kCacheKeys, true);
     pmnetdev::ReadCache cache(kChurnCapacity);
@@ -117,13 +116,13 @@ BM_CacheChurn_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CacheChurn_New);
+BENCHMARK(BM_CacheChurn);
 
 // ------------------------------------------------------------------
 // Persistent hashmap: get / put over dense buckets.
 
 void
-BM_HashmapGet_New(benchmark::State &state)
+BM_HashmapGet(benchmark::State &state)
 {
     auto keys = makeKeys(kMapKeys, true);
     pm::PmHeap heap(kHeapBytes);
@@ -138,10 +137,10 @@ BM_HashmapGet_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashmapGet_New);
+BENCHMARK(BM_HashmapGet);
 
 void
-BM_HashmapPut_New(benchmark::State &state)
+BM_HashmapPut(benchmark::State &state)
 {
     auto keys = makeKeys(kMapKeys, true);
     pm::PmHeap heap(kHeapBytes);
@@ -155,13 +154,13 @@ BM_HashmapPut_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HashmapPut_New);
+BENCHMARK(BM_HashmapPut);
 
 // ------------------------------------------------------------------
 // Raw table ops: FlatKeyTable (string keys).
 
 void
-BM_TableFind_New(benchmark::State &state)
+BM_TableFind(benchmark::State &state)
 {
     auto keys = makeKeys(kMapKeys, false);
     FlatKeyTable<std::uint64_t> table;
@@ -178,7 +177,7 @@ BM_TableFind_New(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TableFind_New);
+BENCHMARK(BM_TableFind);
 
 } // namespace
 

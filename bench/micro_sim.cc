@@ -280,17 +280,17 @@ main(int argc, char **argv)
     double base_eps = 0;
     std::uint64_t base_events = 0;
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        std::uint64_t events = 0;
-        double eps = benchEngineScaling(threads, horizon, &events);
+        std::uint64_t fired = 0;
+        double eps = benchEngineScaling(threads, horizon, &fired);
         if (threads == 1) {
             base_eps = eps;
-            base_events = events;
-        } else if (events != base_events) {
+            base_events = fired;
+        } else if (fired != base_events) {
             std::fprintf(stderr,
                          "engine scaling: %u-thread run executed %llu "
                          "events, 1-thread ran %llu (determinism bug)\n",
                          threads,
-                         static_cast<unsigned long long>(events),
+                         static_cast<unsigned long long>(fired),
                          static_cast<unsigned long long>(base_events));
             return 1;
         }

@@ -167,14 +167,6 @@ FaultRunner::scheduleAction(const FaultAction &action)
     // partitions is safe.
     Tick base_tick = testbed_->now();
     switch (action.kind) {
-      case FaultAction::Kind::LossBurst: {
-        net::Link *link = &resolveLink(action);
-        double base = config_.testbed.link.lossRate;
-        link->scheduleLossRateAt(base_tick + action.at, action.lossRate);
-        link->scheduleLossRateAt(base_tick + action.at + action.duration,
-                                 base);
-        break;
-      }
       case FaultAction::Kind::DropNext: {
         net::Link *link = &resolveLink(action);
         net::Node *from =

@@ -4,12 +4,12 @@
  * executes them and checks the three PMNet safety properties
  * (DESIGN.md section 10).
  *
- * A plan is a list of timed actions — loss bursts, deterministic
- * dropNext sequences, server/device power cuts, device replacement in
- * a replication chain — injected into a running testbed::System while
- * scripted open-loop clients stream updates with known keys and
- * per-step-unique values. After the workload drains, the checker
- * asserts:
+ * A plan is a list of timed actions — impairment windows (loss
+ * bursts among them), deterministic dropNext sequences, server/device
+ * power cuts, device replacement in a replication chain — injected
+ * into a running testbed::System while scripted open-loop clients
+ * stream updates with known keys and per-step-unique values. After
+ * the workload drains, the checker asserts:
  *
  *  P1 durability: every client-acked update survives (the server's
  *     persisted watermark covers it, it was applied exactly once, and
@@ -42,8 +42,6 @@ namespace pmnet::fault {
 struct FaultAction
 {
     enum class Kind {
-        /** Raise a link's random loss rate for `duration`. */
-        LossBurst,
         /** Deterministically drop the next `count` packets. */
         DropNext,
         /** Power-cut the server host; restore after `duration`. */
@@ -66,25 +64,25 @@ struct FaultAction
          * `at`; restore the clean channel after `duration` (an
          * impairment with duration 0 lasts to the end of the run —
          * note the post-drain audits then run over the impaired
-         * channel too).
+         * channel too). A loss burst is `Impairment::uniformLoss(p)`
+         * with a duration.
          */
         Impair,
     };
 
-    /** Which link a LossBurst/DropNext applies to. */
+    /** Which link an Impair/DropNext applies to. */
     enum class Where {
         ServerLink,       ///< the server host's (only) link
         ClientLink,       ///< client `index`'s (only) link
         DeviceClientSide, ///< device `index`'s client-facing link
     };
 
-    Kind kind = Kind::LossBurst;
+    /** Default: an Impair that installs the identity channel, a no-op. */
+    Kind kind = Kind::Impair;
     /** Injection time, relative to run start. */
     TickDelta at = 0;
-    /** Outage/burst length (power cuts, loss bursts). */
+    /** Outage/impairment length (power cuts, impairment windows). */
     TickDelta duration = 0;
-    /** LossBurst: loss probability while the burst lasts. */
-    double lossRate = 0.0;
     /** DropNext: packets to drop. */
     int count = 0;
     /** DropNext: drop the server-bound direction (else client-bound). */
@@ -102,8 +100,7 @@ struct FaultAction
         Both,
     };
 
-    /** Impair only (appended so older aggregate initializers keep
-     *  their meaning): direction selector and the channel itself. */
+    /** Impair only: direction selector and the channel itself. */
     Dir dir = Dir::Both;
     net::Impairment impair;
 };

@@ -26,14 +26,35 @@
 
 #include "gateway/transport.h"
 #include "gateway/wire.h"
+#include "net/link.h"
 #include "net/node.h"
 #include "obs/metric_registry.h"
+#include "stack/stack_model.h"
 
 namespace pmnet::obs {
 class FlightRecorder;
 }
 
 namespace pmnet::gateway {
+
+/** Zero modeled time: real sockets and CPUs replace the model. */
+inline stack::StackProfile
+zeroProfile()
+{
+    return stack::StackProfile{0, 0, 0.0, 0, 0.0};
+}
+
+/** In-process hop of a gateway topology: effectively instantaneous,
+ *  never tail-drops. */
+inline net::LinkConfig
+inProcessLink()
+{
+    net::LinkConfig link;
+    link.gbps = 1000.0;
+    link.propagation = 1; // one tick keeps event ordering explicit
+    link.queueBytes = 64 * 1024 * 1024;
+    return link;
+}
 
 /** The sim/socket boundary node. */
 class GatewayBridge : public net::Node

@@ -4,26 +4,6 @@
 
 namespace pmnet::gateway {
 
-namespace {
-
-stack::StackProfile
-zeroProfile()
-{
-    return stack::StackProfile{0, 0, 0.0, 0, 0.0};
-}
-
-net::LinkConfig
-inProcessLink()
-{
-    net::LinkConfig link;
-    link.gbps = 1000.0;
-    link.propagation = 1;
-    link.queueBytes = 64 * 1024 * 1024;
-    return link;
-}
-
-} // namespace
-
 stack::ClientConfig
 GatewayClient::Config::wallClientDefaults()
 {
@@ -82,6 +62,7 @@ GatewayClient::set(const std::string &key, const std::string &value,
                    Tick timeout)
 {
     bool done = false;
+    runtime_.catchUp();
     lib_->sendUpdate(apps::encodeCommand({{"SET", key, value}}),
                      [&done] { done = true; });
     return await([&done] { return done; }, timeout);
@@ -102,6 +83,7 @@ GatewayClient::exec(const apps::Command &cmd, Tick timeout)
 {
     bool done = false;
     std::optional<apps::Response> result;
+    runtime_.catchUp();
     if (apps::commandIsUpdate(cmd)) {
         lib_->sendUpdate(apps::encodeCommand(cmd), [&] {
             result = apps::Response{apps::RespStatus::Ok, "", ""};
@@ -121,6 +103,7 @@ GatewayClient::exec(const apps::Command &cmd, Tick timeout)
 void
 GatewayClient::execAsync(const apps::Command &cmd)
 {
+    runtime_.catchUp();
     if (apps::commandIsUpdate(cmd))
         lib_->sendUpdate(apps::encodeCommand(cmd), [] {});
     else

@@ -72,6 +72,13 @@ class GatewayRuntime
      */
     int pollOnce(int max_wait_ms = -1);
 
+    /**
+     * Advance the sim to wall time. Call it before issuing into the
+     * sim from outside the loop, so that timers the issue arms count
+     * from now and not from the last poll. @return events fired.
+     */
+    std::uint64_t catchUp();
+
     /** Attach the loop counters under "<prefix>.<name>". */
     void registerMetrics(obs::MetricRegistry &registry,
                          std::string_view prefix);
@@ -85,8 +92,6 @@ class GatewayRuntime
     /** @} */
 
   private:
-    /** Advance the sim to wall time. @return events fired. */
-    std::uint64_t catchUp();
     void armTimer();
 
     sim::Simulator &sim_;

@@ -11,28 +11,6 @@
 
 namespace pmnet::gateway {
 
-namespace {
-
-/** Zero modeled time: real sockets and CPUs replace the model. */
-stack::StackProfile
-zeroProfile()
-{
-    return stack::StackProfile{0, 0, 0.0, 0, 0.0};
-}
-
-/** In-process hop: effectively instantaneous, never tail-drops. */
-net::LinkConfig
-inProcessLink()
-{
-    net::LinkConfig link;
-    link.gbps = 1000.0;
-    link.propagation = 1; // one tick keeps event ordering explicit
-    link.queueBytes = 64 * 1024 * 1024;
-    return link;
-}
-
-} // namespace
-
 pmnetdev::DeviceConfig
 GatewayServer::Config::wallDeviceDefaults()
 {

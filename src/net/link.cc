@@ -61,14 +61,8 @@ Link::Link(sim::Simulator &simulator, std::string object_name, Node &end_a,
     dirs_[1].to = endA_; // B -> A
     dirs_[1].toPort = portOnA_;
     dirs_[1].sim = &end_b.simulator();
-    // One loss stream per direction so each is partition-owned; the
-    // A->B stream keeps the historical seed.
-    dirs_[0].lossRate = config_.lossRate;
-    dirs_[1].lossRate = config_.lossRate;
-    dirs_[0].lossRng = Rng(config_.lossSeed);
-    dirs_[1].lossRng = Rng(config_.lossSeed ^ 0x9E3779B97F4A7C15ull);
-    // Impairment draws get their own per-direction streams so the
-    // adversarial channel composes with (never perturbs) lossRate.
+    // One impairment stream per direction, so each is owned by its
+    // transmitting partition.
     dirs_[0].impairRng = Rng(config_.lossSeed ^ 0x494D5041ull);
     dirs_[1].impairRng =
         Rng(config_.lossSeed ^ 0x494D5041ull ^ 0x9E3779B97F4A7C15ull);
@@ -129,16 +123,6 @@ Link::dropNext(const Node &from, int n)
 }
 
 void
-Link::scheduleLossRateAt(Tick when, double loss_rate)
-{
-    for (Direction &dir : dirs_) {
-        dir.sim->scheduleAt(when, [&dir, loss_rate]() {
-            dir.lossRate = loss_rate;
-        });
-    }
-}
-
-void
 Link::scheduleDropNextAt(Tick when, const Node &from, int n)
 {
     Direction &dir = directionFrom(from);
@@ -149,13 +133,6 @@ void
 Link::corruptNext(const Node &from, int n)
 {
     directionFrom(from).corruptNext += n;
-}
-
-void
-Link::scheduleCorruptNextAt(Tick when, const Node &from, int n)
-{
-    Direction &dir = directionFrom(from);
-    dir.sim->scheduleAt(when, [&dir, n]() { dir.corruptNext += n; });
 }
 
 void
@@ -184,18 +161,14 @@ Link::transmit(const Node &from, PacketPtr pkt)
 
     // Injected loss: the packet occupies the line as usual but never
     // arrives (it is "corrupted on the wire"). The Gilbert–Elliott
-    // channel composes with (runs after) the legacy uniform process:
-    // first the state's loss draw, then the state-transition draw, so
-    // one packet always costs the same number of impairRng draws.
+    // channel draws the state's loss first, then the state
+    // transition, so one packet always costs the same number of
+    // impairRng draws.
     bool lose = false;
     if (dir.dropNext > 0) {
         dir.dropNext--;
         lose = true;
-    } else if (dir.lossRate > 0.0 &&
-               dir.lossRng.nextBool(dir.lossRate)) {
-        lose = true;
-    }
-    if (!lose && dir.impair.hasLoss()) {
+    } else if (dir.impair.hasLoss()) {
         const Impairment &imp = dir.impair;
         lose = dir.impairRng.nextBool(
             dir.geState == 0 ? imp.geLossGood : imp.geLossBad);

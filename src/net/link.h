@@ -36,9 +36,8 @@ struct LinkConfig
     TickDelta propagation = nanoseconds(300);
     /** Max bytes waiting for the line per direction (tail drop). */
     std::size_t queueBytes = 2 * 1024 * 1024;
-    /** Random per-packet loss probability (failure experiments). */
-    double lossRate = 0.0;
-    /** Seed for the loss process. */
+    /** Seed for the per-direction impairment draws (loss, corruption,
+     *  duplication, jitter, reordering). */
     std::uint64_t lossSeed = 0x4C4F5353;
 };
 
@@ -76,28 +75,6 @@ class Link : public sim::SimObject
 
     const LinkConfig &config() const { return config_; }
 
-    /**
-     * Change the random per-packet loss probability at runtime (both
-     * directions). Each direction's loss RNG keeps its stream, so a
-     * plan replayed with the same seed loses exactly the same
-     * packets. Only safe while the simulation is not running — while
-     * an Engine is mid-run, use scheduleLossRateAt instead.
-     */
-    void
-    setLossRate(double loss_rate)
-    {
-        dirs_[0].lossRate = loss_rate;
-        dirs_[1].lossRate = loss_rate;
-    }
-
-    /**
-     * Schedule a loss-rate change at absolute tick @p when as one
-     * event per direction, each on the partition that owns it — the
-     * partition-safe form of setLossRate for scripted fault plans.
-     * Call from the coordinating thread between runs.
-     */
-    void scheduleLossRateAt(Tick when, double loss_rate);
-
     /** Partition-safe scheduled form of dropNext. */
     void scheduleDropNextAt(Tick when, const Node &from, int n);
 
@@ -109,9 +86,6 @@ class Link : public sim::SimObject
      * get a payload byte flipped instead.
      */
     void corruptNext(const Node &from, int n);
-
-    /** Partition-safe scheduled form of corruptNext. */
-    void scheduleCorruptNextAt(Tick when, const Node &from, int n);
 
     /**
      * Install an adversarial channel on the direction transmitting
@@ -151,7 +125,7 @@ class Link : public sim::SimObject
     /** Packets dropped due to egress-queue overflow. */
     std::uint64_t drops() const { return dirs_[0].drops + dirs_[1].drops; }
 
-    /** Packets lost to injected loss (random or dropNext). */
+    /** Packets lost to injected loss (impairment or dropNext). */
     std::uint64_t
     losses() const
     {
@@ -185,13 +159,10 @@ class Link : public sim::SimObject
         std::size_t queuedBytes = 0;
         int dropNext = 0;
         int corruptNext = 0;
-        double lossRate = 0.0;
-        Rng lossRng{0};
         /**
-         * The direction's adversarial channel. All impairment draws
-         * come from impairRng — a stream separate from lossRng, so
-         * installing an impairment never shifts the legacy lossRate
-         * process — and an inactive impairment consumes zero draws.
+         * The direction's adversarial channel, the one source of
+         * random loss. All its draws come from impairRng, and an
+         * inactive impairment consumes zero draws.
          */
         Impairment impair;
         /** Gilbert–Elliott channel state: 0 = Good, 1 = Bad. */

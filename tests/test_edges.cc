@@ -148,9 +148,9 @@ TEST(LinkLoss, RandomLossRateApproximatelyHonored)
     auto &a = topo.addNode<stack::Host>("a", stack::StackProfile{});
     auto &b = topo.addNode<stack::Host>("b", stack::StackProfile{});
     net::LinkConfig config;
-    config.lossRate = 0.3;
     config.lossSeed = 77;
     net::Link &link = topo.connect(a, b, config);
+    link.setImpairment(a, net::Impairment::uniformLoss(0.3));
     topo.computeRoutes();
 
     int got = 0;

@@ -20,6 +20,7 @@
 
 #include "fault/crash_matrix.h"
 #include "fault/fault_plan.h"
+#include "fault_actions.h"
 #include "kv/hashmap.h"
 
 namespace pmnet {
@@ -37,6 +38,10 @@ using fault::InjectedCrash;
 using fault::InvariantReport;
 using fault::runCrashMatrix;
 using fault::runGroupCommitMatrix;
+using fault_test::deviceReplaceAt;
+using fault_test::dropNextAt;
+using fault_test::serverPowerCutAt;
+using fault_test::uniformLossAt;
 
 // ------------------------------------------------- crash matrix sweep
 
@@ -315,12 +320,10 @@ TEST(FaultPlanTest, ServerPowerCutDuringBurstWithDuplicateDelivery)
     // Drop a few client-bound packets first: a PMNet-ACK loss makes
     // the client retransmit an already-logged (acked-at-device)
     // update — the duplicate-delivery case.
+    plan.actions.push_back(dropNextAt(microseconds(120), 3, false,
+                                      FaultAction::Where::DeviceClientSide));
     plan.actions.push_back(
-        {FaultAction::Kind::DropNext, microseconds(120), 0, 0.0, 3,
-         false, 0, FaultAction::Where::DeviceClientSide});
-    plan.actions.push_back({FaultAction::Kind::ServerPowerCut,
-                            microseconds(400), microseconds(500), 0.0, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+        serverPowerCutAt(microseconds(400), microseconds(500)));
 
     FaultRunner runner(planConfig());
     const InvariantReport &report = runner.run(plan);
@@ -343,9 +346,7 @@ TEST(FaultPlanTest, DeviceReplacementInReplicationChain)
 {
     FaultPlan plan;
     plan.name = "chain-device-replace";
-    plan.actions.push_back({FaultAction::Kind::DeviceReplace,
-                            microseconds(450), 0, 0.0, 0, false, 0,
-                            FaultAction::Where::DeviceClientSide});
+    plan.actions.push_back(deviceReplaceAt(microseconds(450), 0));
 
     FaultRunner runner(planConfig(/*replication=*/2, /*cache=*/false));
     const InvariantReport &report = runner.run(plan);
@@ -353,13 +354,12 @@ TEST(FaultPlanTest, DeviceReplacementInReplicationChain)
     EXPECT_EQ(report.counter("acked-total"), 60u);
 }
 
-TEST(FaultPlanTest, LossBurstTowardServer)
+TEST(FaultPlanTest, UniformLossWindowOnServerLink)
 {
     FaultPlan plan;
     plan.name = "loss-burst";
-    plan.actions.push_back({FaultAction::Kind::LossBurst,
-                            microseconds(100), microseconds(600), 0.25, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+    plan.actions.push_back(
+        uniformLossAt(microseconds(100), microseconds(600), 0.25));
 
     FaultRunner runner(planConfig());
     const InvariantReport &report = runner.run(plan);
@@ -371,15 +371,12 @@ TEST(FaultPlanTest, DeterministicReports)
 {
     FaultPlan plan;
     plan.name = "determinism";
-    plan.actions.push_back({FaultAction::Kind::LossBurst,
-                            microseconds(100), microseconds(500), 0.3, 0,
-                            false, 0, FaultAction::Where::ServerLink});
     plan.actions.push_back(
-        {FaultAction::Kind::DropNext, microseconds(300), 0, 0.0, 2, true,
-         0, FaultAction::Where::ServerLink});
-    plan.actions.push_back({FaultAction::Kind::ServerPowerCut,
-                            microseconds(700), microseconds(300), 0.0, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+        uniformLossAt(microseconds(100), microseconds(500), 0.3));
+    plan.actions.push_back(dropNextAt(microseconds(300), 2, true,
+                                      FaultAction::Where::ServerLink));
+    plan.actions.push_back(
+        serverPowerCutAt(microseconds(700), microseconds(300)));
 
     FaultRunner first(planConfig());
     FaultRunner second(planConfig());
@@ -440,11 +437,8 @@ TEST(FaultPlanTest, ChainRepairReturnsShardToHealthy)
     // re-fed from the rebuilt chain.
     FaultPlan plan;
     plan.name = "chain-repair-replace";
-    FaultAction server_cut;
-    server_cut.kind = FaultAction::Kind::ServerPowerCut;
-    server_cut.at = microseconds(200);
-    server_cut.duration = microseconds(1200);
-    plan.actions.push_back(server_cut);
+    plan.actions.push_back(
+        serverPowerCutAt(microseconds(200), microseconds(1200)));
     plan.actions.push_back(
         chainRepairAt(microseconds(400), microseconds(250), 0));
 
@@ -536,11 +530,8 @@ TEST_P(ChainRepairMatrixTest, MidResilverCrashPointsHoldInvariants)
         for (int victim : {0, 1}) {
             FaultPlan plan;
             plan.name = "chain-repair-crash";
-            FaultAction server_cut;
-            server_cut.kind = FaultAction::Kind::ServerPowerCut;
-            server_cut.at = microseconds(200);
-            server_cut.duration = microseconds(1200);
-            plan.actions.push_back(server_cut);
+            plan.actions.push_back(
+                serverPowerCutAt(microseconds(200), microseconds(1200)));
             plan.actions.push_back(
                 chainRepairAt(microseconds(400), microseconds(250), 0));
             FaultAction cut;
@@ -580,12 +571,10 @@ TEST(FaultPlanTest, PowerCutPlanHoldsP1P3OnPartitionedEngine)
     // partition and four workers draining them.
     FaultPlan plan;
     plan.name = "power-cut-partitioned";
+    plan.actions.push_back(dropNextAt(microseconds(120), 3, false,
+                                      FaultAction::Where::DeviceClientSide));
     plan.actions.push_back(
-        {FaultAction::Kind::DropNext, microseconds(120), 0, 0.0, 3,
-         false, 0, FaultAction::Where::DeviceClientSide});
-    plan.actions.push_back({FaultAction::Kind::ServerPowerCut,
-                            microseconds(400), microseconds(500), 0.0, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+        serverPowerCutAt(microseconds(400), microseconds(500)));
 
     FaultRunner runner(planConfig(1, true, /*sim_threads=*/4));
     const InvariantReport &report = runner.run(plan);
@@ -600,9 +589,7 @@ TEST(FaultPlanTest, ChainReplacePlanMatchesLegacyOnPartitionedEngine)
 {
     FaultPlan plan;
     plan.name = "chain-replace-partitioned";
-    plan.actions.push_back({FaultAction::Kind::DeviceReplace,
-                            microseconds(450), 0, 0.0, 0, false, 0,
-                            FaultAction::Where::DeviceClientSide});
+    plan.actions.push_back(deviceReplaceAt(microseconds(450), 0));
 
     FaultRunner legacy(planConfig(/*replication=*/2, /*cache=*/false));
     FaultRunner engine(

@@ -10,9 +10,9 @@
  *    test_net.cc and round-trip through Packet::parsePayload.
  *  - GatewayLoopback.*: a whole in-process daemon on an ephemeral UDP
  *    port, driven by GatewayClient over 127.0.0.1 — end-to-end
- *    set/get, per-session overwrite order, duplicate suppression of a
- *    raw re-sent datagram, and rejection of an out-of-range session
- *    id at ingress.
+ *    set/get, per-session overwrite order, no resend after an idle
+ *    gap, duplicate suppression of a raw re-sent datagram, and
+ *    rejection of an out-of-range session id at ingress.
  *  - GatewayRecovery.*: the daemon is destroyed without a graceful
  *    sync and reassembled on the same dataDir; every previously acked
  *    update must be readable by a fresh session.
@@ -246,6 +246,28 @@ TEST(GatewayLoopback, SetGetAcrossRealSockets)
     EXPECT_GE(metrics.value("gateway.bridge.ingressPackets"), 6u);
     EXPECT_GE(metrics.value("gateway.bridge.egressPackets"), 6u);
     EXPECT_EQ(metrics.value("gateway.bridge.parseErrors"), 0u);
+}
+
+TEST(GatewayLoopback, IdleGapDoesNotResendTheNextRequest)
+{
+    // A request issued after an idle gap longer than the retry
+    // timeout must arm its timer from wall time. Armed from the
+    // embedded simulator's last poll, it is already due at the first
+    // poll and the request goes out twice.
+    DaemonHarness harness;
+
+    GatewayClient::Config config;
+    config.server = Endpoint::loopback(harness.port());
+    config.sessionId = 1;
+    GatewayClient client(std::move(config));
+    obs::MetricRegistry registry;
+    client.lib().registerMetrics(registry, "client");
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_TRUE(client.set("after-idle", "1", kOpTimeout));
+
+    EXPECT_EQ(registry.value("client.timeouts"), 0u);
+    EXPECT_EQ(registry.value("client.packetsResent"), 0u);
 }
 
 TEST(GatewayLoopback, DuplicateRawDatagramIsSuppressedAndReAcked)

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "fault/fault_plan.h"
+#include "fault_actions.h"
 #include "net/topology.h"
 #include "testbed/system.h"
 
@@ -29,6 +30,9 @@ using fault::FaultPlan;
 using fault::FaultRunConfig;
 using fault::FaultRunner;
 using fault::InvariantReport;
+using fault_test::dropNextAt;
+using fault_test::serverPowerCutAt;
+using fault_test::uniformLossAt;
 
 testbed::TestbedConfig
 baseConfig(testbed::SystemMode mode, unsigned threads)
@@ -167,15 +171,12 @@ scriptedPlan()
 {
     FaultPlan plan;
     plan.name = "parallel-determinism";
-    plan.actions.push_back({FaultAction::Kind::LossBurst,
-                            microseconds(100), microseconds(500), 0.3, 0,
-                            false, 0, FaultAction::Where::ServerLink});
     plan.actions.push_back(
-        {FaultAction::Kind::DropNext, microseconds(300), 0, 0.0, 2, true,
-         0, FaultAction::Where::ServerLink});
-    plan.actions.push_back({FaultAction::Kind::ServerPowerCut,
-                            microseconds(700), microseconds(300), 0.0, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+        uniformLossAt(microseconds(100), microseconds(500), 0.3));
+    plan.actions.push_back(dropNextAt(microseconds(300), 2, true,
+                                      FaultAction::Where::ServerLink));
+    plan.actions.push_back(
+        serverPowerCutAt(microseconds(700), microseconds(300)));
     return plan;
 }
 
@@ -202,12 +203,10 @@ TEST(ParallelFault, PowerCutRecoveryHoldsInvariantsAtFourThreads)
 {
     FaultPlan plan;
     plan.name = "parallel-power-cut";
+    plan.actions.push_back(dropNextAt(microseconds(120), 3, false,
+                                      FaultAction::Where::DeviceClientSide));
     plan.actions.push_back(
-        {FaultAction::Kind::DropNext, microseconds(120), 0, 0.0, 3,
-         false, 0, FaultAction::Where::DeviceClientSide});
-    plan.actions.push_back({FaultAction::Kind::ServerPowerCut,
-                            microseconds(400), microseconds(500), 0.0, 0,
-                            false, 0, FaultAction::Where::ServerLink});
+        serverPowerCutAt(microseconds(400), microseconds(500)));
 
     FaultRunner runner(faultConfig(4));
     const InvariantReport &report = runner.run(plan);

@@ -123,11 +123,15 @@ TEST_P(LossSweep, AllRequestsCompleteExactlyOnceInOrder)
     auto &server = topo.addNode<stack::Host>(
         "server", stack::StackProfile::kernelServer());
 
-    net::LinkConfig lossy;
-    lossy.lossRate = loss;
-    lossy.lossSeed = 0xABCD + static_cast<std::uint64_t>(GetParam());
-    topo.connect(client, tor, lossy);
-    topo.connect(tor, server, lossy);
+    net::LinkConfig seeded;
+    seeded.lossSeed = 0xABCD + static_cast<std::uint64_t>(GetParam());
+    net::Link &up = topo.connect(client, tor, seeded);
+    net::Link &down = topo.connect(tor, server, seeded);
+    const net::Impairment lossy = net::Impairment::uniformLoss(loss);
+    up.setImpairment(client, lossy);
+    up.setImpairment(tor, lossy);
+    down.setImpairment(tor, lossy);
+    down.setImpairment(server, lossy);
     topo.computeRoutes();
 
     pm::PmHeap heap(16ull << 20);

@@ -419,7 +419,6 @@ main(int argc, char **argv)
         // Injected on the server's own partition.
         sim::Simulator &ssim = bed.serverHost().simulator();
         ssim.schedule(milliseconds(opts.failServerAtMs), [&]() {
-            sim::Simulator &ssim = bed.serverHost().simulator();
             if (!opts.common.json)
                 std::printf("[%.3f ms] injecting server power failure "
                             "(%.1f ms outage)\n",
