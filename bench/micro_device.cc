@@ -53,6 +53,39 @@ BM_LogStoreLookup(benchmark::State &state)
 }
 BENCHMARK(BM_LogStoreLookup);
 
+/** Set-up of one device log at the default 2 GB, million-slot size. */
+void
+BM_LogStoreConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        pm::PmLogStore store{pm::DevicePmConfig{}};
+        benchmark::DoNotOptimize(store.capacity());
+    }
+}
+BENCHMARK(BM_LogStoreConstruct);
+
+/**
+ * The device's reforward scan: visit the live entries of a
+ * default-size log holding 64 of them.
+ */
+void
+BM_LogStoreScan(benchmark::State &state)
+{
+    pm::PmLogStore store{pm::DevicePmConfig{}};
+    for (std::uint32_t seq = 1; seq <= 64; seq++) {
+        auto pkt = updatePacket(seq);
+        store.insert(pkt->pmnet->hashVal, pkt, 0);
+    }
+    for (auto _ : state) {
+        std::uint64_t hashes = 0;
+        store.forEach(
+            [&](const pm::LogEntry &entry) { hashes += entry.hashVal; });
+        benchmark::DoNotOptimize(hashes);
+    }
+    state.counters["live"] = static_cast<double>(store.size());
+}
+BENCHMARK(BM_LogStoreScan);
+
 void
 BM_LogQueueAdmit(benchmark::State &state)
 {

@@ -1,37 +1,24 @@
 #include "pm/log_store.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.h"
 
 namespace pmnet::pm {
 
-PmLogStore::PmLogStore(DevicePmConfig config) : config_(config)
+PmLogStore::PmLogStore(DevicePmConfig config)
+    : config_(config), slotCount_(config.slotCount())
 {
-    std::uint64_t slot_count = config_.slotCount();
-    if (slot_count == 0)
+    if (slotCount_ == 0)
         fatal("PmLogStore: capacity %llu smaller than one slot (%u)",
               static_cast<unsigned long long>(config_.capacityBytes),
               config_.slotBytes);
-    slots_.resize(static_cast<std::size_t>(slot_count));
-    occupied_.resize((slots_.size() + 63) / 64, 0);
 }
 
 std::size_t
 PmLogStore::indexFor(std::uint32_t hash) const
 {
-    return static_cast<std::size_t>(hash % slots_.size());
-}
-
-void
-PmLogStore::markOccupied(std::size_t index, bool occupied)
-{
-    std::uint64_t bit = std::uint64_t{1} << (index % 64);
-    if (occupied)
-        occupied_[index / 64] |= bit;
-    else
-        occupied_[index / 64] &= ~bit;
+    return static_cast<std::size_t>(hash % slotCount_);
 }
 
 LogInsertResult
@@ -40,53 +27,45 @@ PmLogStore::insert(std::uint32_t hash, net::PacketPtr pkt, Tick now)
     if (pkt->wireSize() > config_.slotBytes) {
         return LogInsertResult::TooLarge;
     }
-    std::size_t index = indexFor(hash);
-    Slot &slot = slots_[index];
-    if (slot.valid) {
-        if (slot.entry.hashVal == hash) {
+    auto [it, inserted] = entries_.try_emplace(indexFor(hash));
+    if (!inserted) {
+        if (it->second.hashVal == hash) {
             insertDuplicate++;
             return LogInsertResult::Duplicate;
         }
         insertCollision++;
         return LogInsertResult::Collision;
     }
-    slot.valid = true;
-    slot.entry = LogEntry{hash, std::move(pkt), now};
-    markOccupied(index, true);
-    live_++;
-    highWater = std::max(highWater, live_);
+    it->second = LogEntry{hash, std::move(pkt), now};
+    highWater = std::max<std::uint64_t>(highWater, entries_.size());
     insertOk++;
     if (observer_)
-        observer_->onLogInsert(slot.entry);
+        observer_->onLogInsert(it->second);
     return LogInsertResult::Ok;
 }
 
 const LogEntry *
 PmLogStore::lookup(std::uint32_t hash) const
 {
-    const Slot &slot = slots_[indexFor(hash)];
-    if (!slot.valid || slot.entry.hashVal != hash)
+    auto it = entries_.find(indexFor(hash));
+    if (it == entries_.end() || it->second.hashVal != hash)
         return nullptr;
-    return &slot.entry;
+    return &it->second;
 }
 
 bool
 PmLogStore::slotFree(std::uint32_t hash) const
 {
-    return !slots_[indexFor(hash)].valid;
+    return !entries_.contains(indexFor(hash));
 }
 
 bool
 PmLogStore::erase(std::uint32_t hash)
 {
-    std::size_t index = indexFor(hash);
-    Slot &slot = slots_[index];
-    if (!slot.valid || slot.entry.hashVal != hash)
+    auto it = entries_.find(indexFor(hash));
+    if (it == entries_.end() || it->second.hashVal != hash)
         return false;
-    slot.valid = false;
-    slot.entry = {};
-    markOccupied(index, false);
-    live_--;
+    entries_.erase(it);
     if (observer_)
         observer_->onLogErase(hash);
     return true;
@@ -95,33 +74,14 @@ PmLogStore::erase(std::uint32_t hash)
 void
 PmLogStore::forEach(const std::function<void(const LogEntry &)> &fn) const
 {
-    for (std::size_t word = 0; word < occupied_.size(); word++) {
-        std::uint64_t bits = occupied_[word];
-        while (bits != 0) {
-            int offset = std::countr_zero(bits);
-            bits &= bits - 1; // clear lowest set bit
-            fn(slots_[word * 64 + static_cast<std::size_t>(offset)].entry);
-        }
-    }
+    for (const auto &[index, entry] : entries_)
+        fn(entry);
 }
 
 void
 PmLogStore::clear()
 {
-    // Same bitmap walk as forEach: only touch occupied slots.
-    for (std::size_t word = 0; word < occupied_.size(); word++) {
-        std::uint64_t bits = occupied_[word];
-        while (bits != 0) {
-            int offset = std::countr_zero(bits);
-            bits &= bits - 1;
-            Slot &slot =
-                slots_[word * 64 + static_cast<std::size_t>(offset)];
-            slot.valid = false;
-            slot.entry = {};
-        }
-        occupied_[word] = 0;
-    }
-    live_ = 0;
+    entries_.clear();
     if (observer_)
         observer_->onLogClear();
 }

@@ -2,9 +2,9 @@
  * @file
  * The network device's persistent request log (paper Section IV-B).
  *
- * A direct-mapped array of slots indexed by the PMNet header's HashVal
- * (hardware-style indexing: hash modulo slot count). Each slot holds
- * one logged update-request packet. Per the paper:
+ * Direct-mapped, as the hardware is: the PMNet header's HashVal picks
+ * one slot (hash modulo slot count), and each slot holds one logged
+ * update-request packet. Per the paper:
  *
  *  - collision with a live entry, or a full log, means the packet is
  *    forwarded *without* logging (and without an early ACK);
@@ -14,6 +14,12 @@
  * Contents are persistent: a device power failure does not clear
  * committed slots (insertion timing/queueing is modeled separately by
  * LogQueue + the device pipeline).
+ *
+ * Storage is only the live set, ordered by slot index: the default 2 GB
+ * log of a million slots costs host memory for the entries in flight,
+ * not for its capacity. Scans visit entries in ascending slot index,
+ * the order a walk of the hardware array would give; the reforward,
+ * recovery and resilver orders (and so the goldens) depend on it.
  */
 
 #ifndef PMNET_PM_LOG_STORE_H
@@ -21,7 +27,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <map>
 
 #include "net/packet.h"
 #include "pm/cost_model.h"
@@ -92,28 +98,27 @@ class PmLogStore
     bool erase(std::uint32_t hash);
 
     /**
-     * Visit every live entry (recovery resend scan). Walks the
-     * occupancy bitmap, skipping empty 64-slot runs in one test — a
-     * nearly-empty multi-GB log scans in microseconds instead of
-     * touching every slot.
+     * Visit every live entry in ascending slot index (reforward,
+     * recovery-resend and resilver scans; journal compaction). Costs
+     * O(live entries), whatever the capacity.
      */
     void forEach(const std::function<void(const LogEntry &)> &fn) const;
 
     /** Live entries. */
-    std::uint64_t size() const { return live_; }
+    std::uint64_t size() const { return entries_.size(); }
 
     /** Total slots. */
-    std::uint64_t capacity() const { return slots_.size(); }
+    std::uint64_t capacity() const { return slotCount_; }
 
     /** Fraction of slots holding a live entry, in [0, 1]. O(1). */
     double
     occupancy() const
     {
-        return static_cast<double>(live_) /
-               static_cast<double>(slots_.size());
+        return static_cast<double>(size()) /
+               static_cast<double>(slotCount_);
     }
 
-    bool full() const { return live_ == capacity(); }
+    bool full() const { return size() == slotCount_; }
 
     /** Drop every entry (fresh device). */
     void clear();
@@ -130,21 +135,13 @@ class PmLogStore
     /** @} */
 
   private:
-    struct Slot
-    {
-        bool valid = false;
-        LogEntry entry;
-    };
-
     std::size_t indexFor(std::uint32_t hash) const;
-    void markOccupied(std::size_t index, bool occupied);
 
     DevicePmConfig config_;
     LogStoreObserver *observer_ = nullptr;
-    std::vector<Slot> slots_;
-    /** One bit per slot; lets scans skip 64 empty slots at a time. */
-    std::vector<std::uint64_t> occupied_;
-    std::uint64_t live_ = 0;
+    std::uint64_t slotCount_;
+    /** Live entries keyed by slot index; an absent key is a free slot. */
+    std::map<std::size_t, LogEntry> entries_;
 };
 
 } // namespace pmnet::pm

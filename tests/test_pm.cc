@@ -13,6 +13,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -461,9 +462,32 @@ TEST(PmLogStore, ForEachVisitsLiveEntries)
     EXPECT_EQ(visited, 10);
 }
 
-TEST(PmLogStore, BitmapScanTracksInsertEraseChurn)
+TEST(PmLogStore, ForEachVisitsInSlotOrder)
 {
-    // The occupancy-bitmap walk must stay exact through arbitrary
+    // Reforward, recovery-resend and resilver scans and journal
+    // compaction replay entries in ascending slot index, the order of
+    // a walk over the hardware array, and the goldens pin that order.
+    // Insertion order, hash order and slot order all differ here.
+    DevicePmConfig config;
+    config.capacityBytes = 16 * 2048; // 16 slots
+    PmLogStore store(config);
+    ASSERT_EQ(store.capacity(), 16u);
+    std::uint32_t seq = 1;
+    for (std::uint32_t hash : {13u, 2u, 7u, 30u, 17u}) {
+        ASSERT_EQ(store.insert(hash, updatePacket(seq++), 0),
+                  LogInsertResult::Ok);
+    }
+    std::vector<std::uint32_t> visited;
+    store.forEach([&](const LogEntry &entry) {
+        visited.push_back(entry.hashVal);
+    });
+    // Slots 1, 2, 7, 13, 14.
+    EXPECT_EQ(visited, (std::vector<std::uint32_t>{17, 2, 7, 13, 30}));
+}
+
+TEST(PmLogStore, ScanTracksInsertEraseChurn)
+{
+    // The live-entry scan must stay exact through arbitrary
     // insert/erase interleavings: visit exactly the live hash set.
     DevicePmConfig config;
     config.capacityBytes = 1 << 20;
@@ -513,6 +537,26 @@ TEST(PmLogStore, HighWaterTracksPeak)
     store.erase(pkt1->pmnet->hashVal);
     EXPECT_EQ(store.size(), 1u);
     EXPECT_EQ(store.highWater, 2u);
+}
+
+TEST(PmLogStore, DefaultLogsCostWhatTheyHold)
+{
+    // Eight devices (4 shards x replication 2) at the default 2 GB,
+    // million-slot log, each holding a few entries: host memory must
+    // follow the live entries, not the slot count.
+    std::uint64_t before = residentKib();
+    ASSERT_GT(before, 0u);
+    std::vector<PmLogStore> stores;
+    for (int device = 0; device < 8; device++) {
+        PmLogStore &store = stores.emplace_back();
+        for (std::uint32_t seq = 1; seq <= 8; seq++) {
+            auto pkt = updatePacket(seq);
+            store.insert(pkt->pmnet->hashVal, pkt, 0);
+        }
+        ASSERT_EQ(store.capacity(), DevicePmConfig{}.slotCount());
+        ASSERT_EQ(store.size(), 8u);
+    }
+    EXPECT_LT(residentKib() - before, 4u << 10);
 }
 
 TEST(PmLogStore, ClearEmpties)

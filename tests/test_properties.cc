@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.h"
 #include "kv/kv_store.h"
@@ -227,6 +228,17 @@ TEST(LogStoreFuzz, MatchesDirectMappedReference)
             (void)entry;
         }
         ASSERT_EQ(store.size(), reference.size());
+        if (step % 1000 == 0) {
+            // Scans visit in ascending slot index: the reference's
+            // key order.
+            std::vector<std::uint32_t> scanned, expected;
+            store.forEach([&](const pm::LogEntry &entry) {
+                scanned.push_back(entry.hashVal);
+            });
+            for (const auto &[index, occupant] : reference)
+                expected.push_back(occupant);
+            ASSERT_EQ(scanned, expected) << "step " << step;
+        }
     }
 }
 
